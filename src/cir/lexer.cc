@@ -1,6 +1,7 @@
 #include "cir/lexer.h"
 
 #include <cctype>
+#include <stdexcept>
 
 #include "support/strings.h"
 
@@ -184,9 +185,24 @@ class Scanner
         return t;
     }
 
+    /** Run a std::sto* conversion of a numeric literal, turning an
+     * out-of-range value into a located FatalError. */
+    template <typename Convert>
+    static auto
+    convert(const std::string &text, SourceLoc loc, Convert conv)
+    {
+        try {
+            return conv();
+        } catch (const std::out_of_range &) {
+            fatal("numeric literal '", text, "' out of range at ",
+                  loc.str());
+        }
+    }
+
     Token
     lexNumber()
     {
+        SourceLoc loc = here();
         std::string text;
         bool is_float = false;
         if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
@@ -196,7 +212,9 @@ class Scanner
                 text += advance();
             Token t;
             t.kind = Tok::IntLit;
-            t.int_value = std::stol(text, nullptr, 16);
+            t.int_value = convert(text, loc, [&] {
+                return std::stol(text, nullptr, 16);
+            });
             t.text = text;
             return t;
         }
@@ -227,11 +245,13 @@ class Scanner
         Token t;
         if (is_float) {
             t.kind = Tok::FloatLit;
-            t.float_value = std::stod(text);
+            t.float_value =
+                convert(text, loc, [&] { return std::stod(text); });
             t.long_double = long_double;
         } else {
             t.kind = Tok::IntLit;
-            t.int_value = std::stol(text);
+            t.int_value =
+                convert(text, loc, [&] { return std::stol(text); });
         }
         t.text = text;
         return t;

@@ -15,6 +15,13 @@ HeteroGen::HeteroGen(const std::string &source)
     sema_ = cir::analyzeOrDie(*tu_);
 }
 
+const std::string &
+effectiveCacheDir(const HeteroGenOptions &options)
+{
+    return options.cache_dir.empty() ? options.search.cache_dir
+                                     : options.cache_dir;
+}
+
 void
 validateOptions(const HeteroGenOptions &options)
 {
@@ -44,29 +51,17 @@ validateOptions(const HeteroGenOptions &options)
     if (options.retry.backoff_factor < 0)
         fatal("HeteroGen: retry.backoff_factor must be >= 0, got ",
               options.retry.backoff_factor);
-    interp::EngineKind parsed_engine;
-    if (!interp::parseEngineName(options.engine, &parsed_engine))
-        fatal("HeteroGen: unknown engine '", options.engine,
-              "' (expected tree_walk, bytecode or differential)");
     if (options.config.stream_depth < hls::kMinStreamDepth ||
         options.config.stream_depth > hls::kMaxStreamDepth)
         fatal("HeteroGen: config.stream_depth must be in [",
               hls::kMinStreamDepth, ", ", hls::kMaxStreamDepth,
               "], got ", options.config.stream_depth);
-    if (!repair::parseProposerName(options.proposer))
-        fatal("HeteroGen: unknown proposer '", options.proposer,
-              "' (expected template, corpus or mixed)");
     if (!repair::parseProposerName(options.search.proposer))
         fatal("HeteroGen: unknown proposer '", options.search.proposer,
-              "' (expected template, corpus or mixed)");
-    if (!options.cache_dir.empty()) {
-        std::string err = repair::cacheDirError(options.cache_dir);
-        if (!err.empty())
-            fatal("HeteroGen: ", err);
-    }
-    if (!options.search.cache_dir.empty() &&
-        options.search.cache_dir != options.cache_dir) {
-        std::string err = repair::cacheDirError(options.search.cache_dir);
+              "' (expected template or corpus)");
+    const std::string &cache_dir = effectiveCacheDir(options);
+    if (!cache_dir.empty()) {
+        std::string err = repair::cacheDirError(cache_dir);
         if (!err.empty())
             fatal("HeteroGen: ", err);
     }
@@ -81,25 +76,8 @@ validateOptions(const HeteroGenOptions &options)
 }
 
 interp::ValueProfile
-profileUnderSuite(const TranslationUnit &tu, const std::string &kernel,
-                  const fuzz::TestSuite &suite,
-                  interp::EngineKind engine)
-{
-    interp::ValueProfile profile;
-    interp::Interpreter interp(tu);
-    for (const fuzz::TestCase &test : suite.cases()) {
-        interp::RunOptions opts;
-        opts.profile = &profile;
-        opts.engine = engine;
-        interp.run(kernel, test.args, opts);
-    }
-    return profile;
-}
-
-interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine)
+                  const std::string &kernel, const fuzz::TestSuite &suite)
 {
     interp::ValueProfile profile;
     interp::Interpreter interp(tu);
@@ -107,7 +85,6 @@ profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
         interp::RunOptions opts;
         opts.profile = &profile;
         opts.trace = &ctx;
-        opts.engine = engine;
         interp.run(kernel, test.args, opts);
     }
     return profile;
@@ -148,23 +125,9 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     HeteroGenReport report;
     report.orig_loc = countLines(cir::print(*tu_));
 
-    // Resolve the pipeline-wide engine override (validated above).
     fuzz::FuzzOptions fuzz_opts = options.fuzz;
     repair::SearchOptions search_opts = options.search;
-    interp::EngineKind profile_engine = fuzz_opts.engine;
-    if (!options.engine.empty()) {
-        interp::EngineKind engine = interp::defaultEngine();
-        interp::parseEngineName(options.engine, &engine);
-        fuzz_opts.engine = engine;
-        search_opts.engine = engine;
-        profile_engine = engine;
-    }
-    // Resolve the pipeline-wide proposer override (validated above).
-    if (!options.proposer.empty())
-        search_opts.proposer = options.proposer;
-    // Resolve the pipeline-wide cache-dir override (validated above).
-    if (!options.cache_dir.empty())
-        search_opts.cache_dir = options.cache_dir;
+    search_opts.cache_dir = effectiveCacheDir(options);
     if (options.eval_pool) {
         fuzz_opts.pool = options.eval_pool;
         search_opts.pool = options.eval_pool;
@@ -186,8 +149,7 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         stage("profile");
         SpanScope profiling(ctx, "profile");
         report.profile = profileUnderSuite(ctx, *tu_, options.kernel,
-                                           report.testgen.suite,
-                                           profile_engine);
+                                           report.testgen.suite);
     }
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;

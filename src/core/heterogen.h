@@ -80,39 +80,31 @@ struct HeteroGenOptions
      */
     std::function<void(const std::string &)> stage_hook;
     /**
-     * Interpreter engine for every stage ("" = inherit each stage's own
-     * default, which honours HETEROGEN_ENGINE). Accepted names:
-     * "tree_walk", "bytecode", "differential"; anything else is
-     * rejected by validateOptions. Non-empty values override the
-     * fuzz/search/profiling engines wholesale.
-     */
-    std::string engine;
-    /**
-     * Candidate proposer for the repair search ("" = inherit
-     * search.proposer, which honours HETEROGEN_PROPOSER). Accepted
-     * names: "template", "corpus", "mixed"; anything else is rejected
-     * by validateOptions. A non-empty value overrides search.proposer
-     * wholesale.
-     */
-    std::string proposer;
-    /**
      * Persistent verdict-cache directory for the repair search ("" =
      * inherit search.cache_dir, which honours HETEROGEN_CACHE_DIR; see
      * docs/CACHING.md). A non-empty value overrides search.cache_dir
-     * wholesale. Non-empty values — here or on search.cache_dir — must
-     * name a creatable, writable directory or validateOptions rejects
-     * the run with a "cache:" diagnostic.
+     * wholesale (effectiveCacheDir). The effective directory must name
+     * a creatable, writable directory or validateOptions rejects the
+     * run with a "cache:" diagnostic.
      */
     std::string cache_dir;
 };
 
 /**
+ * The verdict-cache directory a run uses: options.cache_dir when set,
+ * else options.search.cache_dir ("" = no persistent cache). The one
+ * precedence rule shared by HeteroGen::run and the conversion service.
+ */
+const std::string &effectiveCacheDir(const HeteroGenOptions &options);
+
+/**
  * Reject malformed options with a FatalError before any stage runs:
  * empty kernel, negative budgets, non-positive difftest sim-worker
  * counts, retry policies that could never attempt anything or would
- * wait negative time, and fault rules with out-of-range probabilities
- * or latencies. (Kernel existence is checked against the program by
- * run().)
+ * wait negative time, out-of-range stream depths, unknown proposer
+ * names, an unusable effective cache directory, and fault rules with
+ * out-of-range probabilities or latencies. (Kernel existence is
+ * checked against the program by run().)
  */
 void validateOptions(const HeteroGenOptions &options);
 
@@ -189,18 +181,12 @@ class HeteroGen
 
 /**
  * Profile the program's value ranges by running every test in the suite
- * (used for initial HLS version generation).
+ * (used for initial HLS version generation). Bumps interp.* counters on
+ * the context.
  */
 interp::ValueProfile
-profileUnderSuite(const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine = interp::defaultEngine());
-
-/** Spine-aware variant: bumps interp.* counters on the context. */
-interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite,
-                  interp::EngineKind engine = interp::defaultEngine());
+                  const std::string &kernel, const fuzz::TestSuite &suite);
 
 } // namespace heterogen::core
 

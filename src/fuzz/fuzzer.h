@@ -58,8 +58,9 @@ struct FuzzOptions
     /**
      * Interpreter engine for the host run and every kernel execution.
      * All engines are bit-identical (docs/INTERP.md), so the campaign's
-     * corpus, coverage and simulated clock do not depend on the choice;
-     * bytecode is simply faster on the host.
+     * corpus, coverage and simulated clock do not depend on the choice.
+     * Production leaves the bytecode default; setting TreeWalk times or
+     * cross-checks the reference walker on a direct fuzzKernel call.
      */
     interp::EngineKind engine = interp::defaultEngine();
     /**

@@ -1,6 +1,6 @@
 #include "hls/config.h"
 
-#include <cstdlib>
+#include "support/env.h"
 
 namespace heterogen::hls {
 
@@ -28,15 +28,12 @@ findDevice(const std::string &name)
 long
 defaultStreamDepth()
 {
-    if (const char *env = std::getenv("HETEROGEN_STREAM_DEPTH")) {
-        char *end = nullptr;
-        long depth = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && depth >= kMinStreamDepth &&
-            depth <= kMaxStreamDepth) {
-            return depth;
-        }
-    }
-    return 2;
+    auto depth = readEnvKnob(
+        "HETEROGEN_STREAM_DEPTH", "an integer in [1, 1024]",
+        [](const std::string &v) {
+            return parseUnsigned(v, kMinStreamDepth, kMaxStreamDepth);
+        });
+    return static_cast<long>(depth.value_or(2));
 }
 
 } // namespace heterogen::hls

@@ -33,8 +33,8 @@ constexpr long kMaxStreamDepth = 1024;
 
 /**
  * Process default FIFO depth: the HETEROGEN_STREAM_DEPTH environment
- * variable when it parses to a value in [kMinStreamDepth,
- * kMaxStreamDepth], else 2 (out-of-range values keep the default).
+ * variable when set (an integer in [kMinStreamDepth, kMaxStreamDepth];
+ * anything else is a FatalError), else 2.
  */
 long defaultStreamDepth();
 

@@ -17,29 +17,7 @@ using namespace cir;
 EngineKind
 defaultEngine()
 {
-    static const EngineKind kDefault = [] {
-        EngineKind out = EngineKind::TreeWalk;
-        if (const char *env = std::getenv("HETEROGEN_ENGINE"))
-            parseEngineName(env, &out); // unknown names keep the default
-        return out;
-    }();
-    return kDefault;
-}
-
-bool
-parseEngineName(const std::string &name, EngineKind *out)
-{
-    if (name.empty())
-        return true;
-    if (name == "tree_walk")
-        *out = EngineKind::TreeWalk;
-    else if (name == "bytecode")
-        *out = EngineKind::Bytecode;
-    else if (name == "differential")
-        *out = EngineKind::Differential;
-    else
-        return false;
-    return true;
+    return EngineKind::Bytecode;
 }
 
 const char *

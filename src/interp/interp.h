@@ -1,6 +1,7 @@
 /**
  * @file
- * Tree-walking interpreter for CIR programs.
+ * Interpreter for CIR programs: the bytecode VM every pipeline stage
+ * runs, and the tree walker it is checked against (see EngineKind).
  *
  * The interpreter executes a translation unit's functions with precise
  * memory safety (traps), branch-coverage recording, value-range profiling,
@@ -78,15 +79,12 @@ enum class EngineKind
 };
 
 /**
- * Process default engine: the HETEROGEN_ENGINE environment variable
- * ("tree_walk", "bytecode", "differential") or TreeWalk when unset.
- * CI uses the variable to rerun the property and golden suites on the
- * bytecode engine without touching any call site.
+ * The engine every pipeline stage runs: Bytecode. The tree walker is
+ * the test reference, reachable only by setting RunOptions::engine or
+ * FuzzOptions::engine explicitly (and as the bytecode compiler's
+ * fallback for constructs it does not support).
  */
 EngineKind defaultEngine();
-
-/** Parse an engine name; "" keeps `out` untouched. False on unknown. */
-bool parseEngineName(const std::string &name, EngineKind *out);
 
 /** Canonical name for an engine ("tree_walk", ...). */
 const char *engineName(EngineKind engine);
@@ -116,7 +114,7 @@ struct BranchEventLog
 /** Knobs for one interpreter run. */
 struct RunOptions
 {
-    /** Execution engine (see EngineKind; default honours HETEROGEN_ENGINE). */
+    /** Execution engine (see EngineKind and defaultEngine). */
     EngineKind engine = defaultEngine();
     /** Abort with a trap after this many evaluation steps. */
     uint64_t max_steps = 20'000'000;

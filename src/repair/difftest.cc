@@ -51,7 +51,6 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
         TestRecord &rec = records[i];
         RunOptions opts;
         opts.trace = ctx;
-        opts.engine = options.engine;
         RunResult cpu = cpu_interp.run(original_kernel, test.args, opts);
         hls::FpgaRunResult fpga = hls::simulateFpga(
             candidate, config, config.top_function, test.args, opts);

@@ -45,12 +45,6 @@ struct DiffTestOptions
      * an execution detail: results are invariant to the pool size.
      */
     WorkerPool *pool = nullptr;
-    /**
-     * Interpreter engine for both sides of every test. Bit-identical
-     * across engines (docs/INTERP.md), so pass/fail results and
-     * sim_minutes never depend on it.
-     */
-    interp::EngineKind engine = interp::defaultEngine();
 };
 
 /** Outcome of one differential-testing campaign. */

@@ -1,14 +1,13 @@
 /** @file The built-in candidate proposers: Table-2 template enumeration
- * (the paper's §5.3 search, re-expressed behind the seam), and the
- * round-robin mix of template and corpus proposals. */
+ * (the paper's §5.3 search, re-expressed behind the seam) and the
+ * factory that also builds the corpus proposer (repair/corpus.h). */
 
 #include "repair/proposer.h"
 
-#include <cstdlib>
 #include <map>
 
 #include "repair/corpus.h"
-#include "support/diagnostics.h"
+#include "support/env.h"
 
 namespace heterogen::repair {
 
@@ -154,56 +153,12 @@ class TemplateProposer : public CandidateProposer
     std::map<std::string, int> noop_counts_;
 };
 
-/**
- * Round-robin race of template enumeration and corpus retrieval: odd
- * requests ask the corpus first, even requests the templates, and an
- * empty answer falls through to the other side. Feedback fans out to
- * both so each keeps its own retire/ban state consistent.
- */
-class MixedProposer : public CandidateProposer
-{
-  public:
-    explicit MixedProposer(const ProposerConfig &config)
-        : template_(std::make_unique<TemplateProposer>(config)),
-          corpus_(makeCorpusProposer(config))
-    {
-    }
-
-    std::string name() const override { return "mixed"; }
-
-    Proposal
-    propose(const ProposalRequest &request) override
-    {
-        CandidateProposer *first = template_.get();
-        CandidateProposer *second = corpus_.get();
-        if (calls_++ % 2 == 1)
-            std::swap(first, second);
-        Proposal out = first->propose(request);
-        if (out.candidates.empty())
-            out = second->propose(request);
-        return out;
-    }
-
-    void
-    observe(const AttemptFeedback &feedback) override
-    {
-        template_->observe(feedback);
-        corpus_->observe(feedback);
-    }
-
-  private:
-    std::unique_ptr<CandidateProposer> template_;
-    std::unique_ptr<CandidateProposer> corpus_;
-    uint64_t calls_ = 0;
-};
-
 } // namespace
 
 const std::vector<std::string> &
 proposerNames()
 {
-    static const std::vector<std::string> names = {"template", "corpus",
-                                                   "mixed"};
+    static const std::vector<std::string> names = {"template", "corpus"};
     return names;
 }
 
@@ -228,12 +183,15 @@ parseProposerName(const std::string &name, std::string *canonical)
 std::string
 defaultProposerName()
 {
-    if (const char *env = std::getenv("HETEROGEN_PROPOSER")) {
-        std::string canonical;
-        if (parseProposerName(env, &canonical))
-            return canonical; // unknown names keep the default
-    }
-    return "template";
+    auto name = readEnvKnob(
+        "HETEROGEN_PROPOSER", "template or corpus",
+        [](const std::string &v) -> std::optional<std::string> {
+            std::string canonical;
+            if (!parseProposerName(v, &canonical))
+                return std::nullopt;
+            return canonical;
+        });
+    return name.value_or("template");
 }
 
 std::unique_ptr<CandidateProposer>
@@ -242,12 +200,10 @@ makeProposer(const std::string &name, const ProposerConfig &config)
     std::string canonical;
     if (!parseProposerName(name, &canonical))
         fatal("repair: unknown proposer '", name,
-              "' (expected template, corpus or mixed)");
-    if (canonical == "template")
-        return std::make_unique<TemplateProposer>(config);
+              "' (expected template or corpus)");
     if (canonical == "corpus")
         return makeCorpusProposer(config);
-    return std::make_unique<MixedProposer>(config);
+    return std::make_unique<TemplateProposer>(config);
 }
 
 } // namespace heterogen::repair

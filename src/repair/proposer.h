@@ -147,7 +147,7 @@ class CandidateProposer
   public:
     virtual ~CandidateProposer() = default;
 
-    /** Stable name ("template", "corpus", "mixed", ...). */
+    /** Stable name ("template", "corpus", ...). */
     virtual std::string name() const = 0;
 
     /** Emit candidate rewrites for the current search state. */
@@ -159,7 +159,7 @@ class CandidateProposer
     virtual void observe(const AttemptFeedback &feedback) {}
 };
 
-/** Known proposer names, in factory order: template, corpus, mixed. */
+/** Known proposer names, in factory order: template, corpus. */
 const std::vector<std::string> &proposerNames();
 
 /**
@@ -172,7 +172,8 @@ bool parseProposerName(const std::string &name,
 
 /**
  * Process default proposer: the HETEROGEN_PROPOSER environment
- * variable when it names a known proposer, else "template".
+ * variable when set (a known proposer name; anything else is a
+ * FatalError), else "template".
  */
 std::string defaultProposerName();
 

@@ -100,14 +100,10 @@ struct SearchOptions
      */
     std::set<std::string> allowed_edits;
     /**
-     * Interpreter engine for every fitness-check execution. Engines are
-     * bit-identical, so search traces do not depend on the choice.
-     */
-    interp::EngineKind engine = interp::defaultEngine();
-    /**
-     * Candidate proposer driving the search ("template", "corpus" or
-     * "mixed"; see repair/proposer.h). Defaults to HETEROGEN_PROPOSER
-     * when set, else the paper's template enumeration. The judge side
+     * Candidate proposer driving the search ("template" or "corpus";
+     * see repair/proposer.h) — the one per-run proposer knob. Defaults
+     * to HETEROGEN_PROPOSER when set, else the paper's template
+     * enumeration. The judge side
      * (style gate, toolchain, difftest, memo, backtracking) is
      * proposer-independent.
      */

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include "support/env.h"
 #include "support/run_context.h"
 #include "support/strings.h"
 
@@ -264,9 +265,15 @@ kindKey(const char *kind, const std::string &key)
 std::string
 defaultCacheDir()
 {
-    if (const char *env = std::getenv("HETEROGEN_CACHE_DIR"))
-        return env;
-    return "";
+    auto dir = readEnvKnob(
+        "HETEROGEN_CACHE_DIR", "a creatable, writable directory",
+        [](const std::string &v) -> std::optional<std::string> {
+            std::string err = cacheDirError(v);
+            if (!err.empty())
+                fatal(err);
+            return v;
+        });
+    return dir.value_or("");
 }
 
 std::string

@@ -42,7 +42,8 @@ namespace heterogen::repair {
 
 /**
  * Cache directory honoured by default: the HETEROGEN_CACHE_DIR
- * environment variable, or "" (persistence disabled). The
+ * environment variable (which must name a creatable, writable
+ * directory, else FatalError), or "" (persistence disabled). The
  * conventional in-repo location is ".heterogen-cache/" (gitignored).
  */
 std::string defaultCacheDir();

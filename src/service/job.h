@@ -76,26 +76,13 @@ struct JobSpec
     /**
      * Pipeline options for the wrapped run (validated at submit). The
      * scheduler overrides eval_pool and stage_hook; a FaultPlan in
-     * options.faults is honoured per job.
+     * options.faults is honoured per job. Per-job repair knobs live
+     * here too: options.search.proposer picks the proposer, and the
+     * effective cache directory (core::effectiveCacheDir) names a
+     * verdict store the service shares with every job naming the same
+     * directory (docs/CACHING.md).
      */
     core::HeteroGenOptions options;
-    /**
-     * Per-job repair-proposer override ("" = keep options.proposer /
-     * options.search.proposer). Accepted names: "template", "corpus",
-     * "mixed"; anything else is rejected at submit. Lets one service
-     * run race proposers across tenants, as bench/fig9_ablation's
-     * --proposers mode does.
-     */
-    std::string proposer;
-    /**
-     * Per-job persistent verdict-cache directory ("" = keep
-     * options.cache_dir / options.search.cache_dir). The service opens
-     * one shared store per distinct directory, so jobs naming the same
-     * directory share verdicts safely; a non-empty value must name a
-     * creatable, writable directory or submit rejects it with a
-     * "cache:" diagnostic. See docs/CACHING.md.
-     */
-    std::string cache_dir;
 };
 
 /** Lifecycle of a job inside the service. */

@@ -75,11 +75,6 @@ ConversionService::ConversionService(ServiceOptions options)
     validateServiceOptions(options_);
     for (const TenantSpec &t : options_.tenants)
         tenants_[t.id] = t;
-    int host = options_.host_threads > 0 ? options_.host_threads
-                                         : options_.slots;
-    host_pool_ = std::make_unique<WorkerPool>(
-        host, std::max<size_t>(256, options_.slots));
-    eval_pool_ = std::make_unique<WorkerPool>(options_.eval_threads);
 }
 
 ConversionService::~ConversionService() = default;
@@ -362,17 +357,12 @@ ConversionService::startRunLocked(Job &job)
         return;
     }
     job.cached.reset();
-    // Resolve the job's persistent verdict cache (spec override, then
-    // the pipeline-level knob, then the search-level one) to one store
-    // shared by every job naming that directory. A caller-supplied
+    // Resolve the job's persistent verdict cache to one store shared
+    // by every job naming that directory. A caller-supplied
     // search.verdict_store wins untouched.
     const core::HeteroGenOptions &o = job.spec.options;
     if (!o.search.verdict_store && o.search.use_memo) {
-        const std::string &dir = !job.spec.cache_dir.empty()
-                                     ? job.spec.cache_dir
-                                     : (!o.cache_dir.empty()
-                                            ? o.cache_dir
-                                            : o.search.cache_dir);
+        const std::string &dir = core::effectiveCacheDir(o);
         if (!dir.empty())
             job.store = storeForLocked(dir);
     }
@@ -461,7 +451,9 @@ ConversionService::dispatchLocked()
 }
 
 void
-ConversionService::executeRunning(std::unique_lock<std::mutex> &lock)
+ConversionService::executeRunning(std::unique_lock<std::mutex> &lock,
+                                  WorkerPool &host_pool,
+                                  WorkerPool &eval_pool)
 {
     std::vector<Job *> todo;
     for (auto &j : jobs_) {
@@ -475,18 +467,16 @@ ConversionService::executeRunning(std::unique_lock<std::mutex> &lock)
     // pool the tasks run inline right here.
     lock.unlock();
     {
-        TaskGroup group(host_pool_.get());
+        TaskGroup group(&host_pool);
         for (Job *job : todo) {
-            group.run([this, job] {
+            group.run([this, job, &eval_pool] {
                 HostResult res;
                 try {
                     core::HeteroGen hg(job->spec.source);
                     core::HeteroGenOptions opts = job->spec.options;
-                    if (!job->spec.proposer.empty())
-                        opts.proposer = job->spec.proposer;
                     if (job->store)
                         opts.search.verdict_store = job->store;
-                    opts.eval_pool = eval_pool_.get();
+                    opts.eval_pool = &eval_pool;
                     opts.stage_hook =
                         [this, job](const std::string &stage) {
                             std::lock_guard<std::mutex> g(mu_);
@@ -567,6 +557,15 @@ ConversionService::drain()
     std::unique_lock<std::mutex> lock(mu_);
     if (draining_)
         fatal("service: drain() is not reentrant");
+    // The worker threads (and their malloc arenas) live only for this
+    // drain, so an idle service holds none. The host pool's capacity
+    // is >= slots so the event loop never blocks on submission while
+    // holding mu_; the eval pool carries every job's leaf parallelism
+    // (fuzz batches, difftest fan-out).
+    WorkerPool host_pool(options_.host_threads > 0 ? options_.host_threads
+                                                   : options_.slots,
+                         std::max<size_t>(256, options_.slots));
+    WorkerPool eval_pool(options_.eval_threads);
     draining_ = true;
     while (true) {
         // Order at one instant: completions release their slots first,
@@ -576,7 +575,7 @@ ConversionService::drain()
         completeDueLocked();
         applyDueCancelsLocked();
         dispatchLocked();
-        executeRunning(lock);
+        executeRunning(lock, host_pool, eval_pool);
         // A zero-length run completes at this same instant and frees
         // its slot for jobs already waiting here.
         bool due_now = false;

@@ -119,8 +119,10 @@ class ConversionService
      * directory string a job named.
      */
     repair::VerdictStore *storeForLocked(const std::string &dir);
-    /** Execute pending host runs; drops the lock while waiting. */
-    void executeRunning(std::unique_lock<std::mutex> &lock);
+    /** Execute pending host runs on the drain's pools; drops the lock
+     * while waiting. */
+    void executeRunning(std::unique_lock<std::mutex> &lock,
+                        WorkerPool &host_pool, WorkerPool &eval_pool);
     void completeDueLocked();
     double nextEventTimeLocked() const;
 
@@ -140,12 +142,6 @@ class ConversionService
     /** One shared verdict store per distinct cache directory; buffered
      * writes are published once, at the end of drain(). */
     std::map<std::string, std::unique_ptr<repair::VerdictStore>> stores_;
-
-    /** Executes dispatched runs; capacity >= slots so the event loop
-     * never blocks on submission while holding mu_. */
-    std::unique_ptr<WorkerPool> host_pool_;
-    /** Shared by every job's leaf parallelism (fuzz, difftest). */
-    std::unique_ptr<WorkerPool> eval_pool_;
 };
 
 } // namespace heterogen::service

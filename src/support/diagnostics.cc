@@ -1,10 +1,9 @@
 #include "support/diagnostics.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 
-#include "support/strings.h"
+#include "support/env.h"
 
 namespace heterogen {
 
@@ -24,10 +23,8 @@ applyEnvLogLevel()
 {
     static std::once_flag once;
     std::call_once(once, [] {
-        if (const char *env = std::getenv("HETEROGEN_LOG")) {
-            if (auto level = parseLogLevel(env))
-                g_min_level = *level;
-        }
+        if (auto level = envLogLevel())
+            g_min_level = *level;
     });
 }
 
@@ -58,6 +55,13 @@ parseLogLevel(const std::string &name)
     if (lower == "error")
         return LogLevel::Error;
     return std::nullopt;
+}
+
+std::optional<LogLevel>
+envLogLevel()
+{
+    return readEnvKnob("HETEROGEN_LOG", "debug, info, warn or error",
+                       parseLogLevel);
 }
 
 std::string

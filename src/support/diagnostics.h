@@ -27,6 +27,12 @@ enum class LogLevel { Debug, Info, Warn, Error };
 std::optional<LogLevel> parseLogLevel(const std::string &name);
 
 /**
+ * The HETEROGEN_LOG level, read now: nullopt when unset; an unknown
+ * level is a FatalError. The logger applies it once, at first use.
+ */
+std::optional<LogLevel> envLogLevel();
+
+/**
  * Destination of already-filtered log records. The process-wide sink
  * is pluggable (setLogSink) so a RunContext can capture or redirect a
  * run's diagnostics; the default sink writes to stderr exactly as the
@@ -100,8 +106,7 @@ concat(Args &&...args)
  * Set the minimum level that logMessage actually prints.
  *
  * The initial level is Warn, overridable once at startup via the
- * HETEROGEN_LOG environment variable (debug|info|warn|error — the same
- * pattern HETEROGEN_JOBS uses for the worker pool); explicit calls to
+ * HETEROGEN_LOG environment variable (envLogLevel); explicit calls to
  * setLogLevel always win over the environment.
  */
 void setLogLevel(LogLevel level);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "support/diagnostics.h"
+#include "support/env.h"
 #include "support/run_context.h"
 #include "support/strings.h"
 
@@ -185,18 +186,17 @@ FaultPlan::parse(const std::string &spec, uint64_t seed)
 FaultPlan
 FaultPlan::fromEnv()
 {
-    const char *spec = std::getenv("HETEROGEN_FAULTS");
-    if (!spec || trim(spec).empty())
-        return {};
-    uint64_t seed = 1;
-    if (const char *s = std::getenv("HETEROGEN_FAULT_SEED")) {
-        try {
-            seed = std::stoull(trim(s));
-        } catch (const std::exception &) {
-            fatal("HETEROGEN_FAULT_SEED: cannot parse '", s, "'");
-        }
-    }
-    return parse(spec, seed);
+    auto seed = readEnvKnob("HETEROGEN_FAULT_SEED",
+                            "an unsigned 64-bit integer",
+                            [](const std::string &v) {
+                                return parseUnsigned(v);
+                            });
+    auto plan = readEnvKnob(
+        "HETEROGEN_FAULTS", "site:prob:kind[:latency_minutes] rules",
+        [&](const std::string &v) {
+            return std::optional<FaultPlan>(parse(v, seed.value_or(1)));
+        });
+    return plan.value_or(FaultPlan{});
 }
 
 std::string

@@ -1,7 +1,8 @@
 #include "support/worker_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "support/env.h"
 
 namespace heterogen {
 
@@ -10,12 +11,11 @@ resolveJobs(int requested)
 {
     if (requested >= 1)
         return requested;
-    if (const char *env = std::getenv("HETEROGEN_JOBS")) {
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && n >= 1 && n <= 1024)
-            return static_cast<int>(n);
-    }
+    if (auto n = readEnvKnob("HETEROGEN_JOBS", "an integer in [1, 1024]",
+                             [](const std::string &v) {
+                                 return parseUnsigned(v, 1, 1024);
+                             }))
+        return static_cast<int>(*n);
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }

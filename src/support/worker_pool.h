@@ -34,8 +34,8 @@ namespace heterogen {
 /**
  * Resolve a thread-count request: n >= 1 is taken as-is; n <= 0 means
  * "use the environment default" — the HETEROGEN_JOBS environment
- * variable when set to a positive integer, else the hardware
- * concurrency, else 1.
+ * variable when set (an integer in [1, 1024]; anything else is a
+ * FatalError), else the hardware concurrency, else 1.
  */
 int resolveJobs(int requested);
 

@@ -506,9 +506,9 @@ TEST(CacheDirValidation, JobSpecRejectsUnusableCacheDirAtSubmit)
     spec.tenant = "t";
     spec.source = "int kernel(int x) { return x; }";
     spec.options.kernel = "kernel";
-    spec.cache_dir = "   ";
+    spec.options.cache_dir = "   ";
     EXPECT_THROW(svc.submit(spec), FatalError);
-    spec.cache_dir.clear();
+    spec.options.cache_dir.clear();
     svc.submit(std::move(spec));
     svc.drain();
 }
@@ -797,7 +797,6 @@ fastServiceOptions(uint64_t seed)
     opts.search.max_iterations = 40;
     opts.search.difftest_sample = 4;
     opts.search.rng_seed = seed * 31 + 7;
-    opts.engine = "bytecode";
     return opts;
 }
 
@@ -828,7 +827,7 @@ drainWithCache(const std::string &dir, int host_threads)
         // the cold drain shares verdicts via the snapshot-plus-flush
         // discipline (never mid-drain).
         spec.options = fastServiceOptions(3 + (i % 2));
-        spec.cache_dir = dir;
+        spec.options.cache_dir = dir;
         ids.push_back(svc.submit(std::move(spec)));
     }
     svc.drain();

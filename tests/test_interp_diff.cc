@@ -596,21 +596,11 @@ TEST(InterpDiff, DifferentialForwardsReferenceObservables)
 
 // --- engine selection plumbing -------------------------------------------
 
-TEST(InterpDiff, ParseEngineNameRoundTrips)
+TEST(InterpDiff, BytecodeIsTheDefaultAndNamesAreCanonical)
 {
-    EngineKind kind = EngineKind::TreeWalk;
-    EXPECT_TRUE(parseEngineName("bytecode", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode);
-    EXPECT_TRUE(parseEngineName("differential", &kind));
-    EXPECT_EQ(kind, EngineKind::Differential);
-    EXPECT_TRUE(parseEngineName("tree_walk", &kind));
-    EXPECT_EQ(kind, EngineKind::TreeWalk);
-
-    kind = EngineKind::Bytecode;
-    EXPECT_TRUE(parseEngineName("", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode) << "empty keeps the value";
-    EXPECT_FALSE(parseEngineName("jit", &kind));
-    EXPECT_EQ(kind, EngineKind::Bytecode) << "unknown keeps the value";
+    EXPECT_EQ(defaultEngine(), EngineKind::Bytecode);
+    EXPECT_EQ(RunOptions{}.engine, EngineKind::Bytecode);
+    EXPECT_EQ(fuzz::FuzzOptions{}.engine, EngineKind::Bytecode);
 
     EXPECT_STREQ(engineName(EngineKind::TreeWalk), "tree_walk");
     EXPECT_STREQ(engineName(EngineKind::Bytecode), "bytecode");

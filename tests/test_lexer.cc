@@ -59,6 +59,29 @@ TEST(Lexer, FloatLiterals)
     EXPECT_DOUBLE_EQ(toks[4].float_value, 0.5);
 }
 
+TEST(Lexer, OutOfRangeLiteralsAreLocatedFatalErrors)
+{
+    // Decimal, hex and float literals beyond the host representation
+    // must fail as a located FatalError, never a leaked std:: exception.
+    for (const char *src :
+         {"x = 99999999999999999999999;", "x = 0x123456789abcdef0123;",
+          "x = 1e999;"}) {
+        try {
+            lex(src);
+            FAIL() << "expected FatalError for " << src;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("out of range at 1:5"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The largest representable values still lex.
+    EXPECT_EQ(lex("9223372036854775807")[0].int_value,
+              9223372036854775807L);
+    EXPECT_EQ(lex("0x7fffffffffffffff")[0].int_value,
+              9223372036854775807L);
+}
+
 TEST(Lexer, CharLiteralBecomesIntLit)
 {
     auto toks = lex("'a' '\\n'");

@@ -123,7 +123,7 @@ TEST(ResolveJobs, ReadsHeterogenJobsEnvironment)
     setenv("HETEROGEN_JOBS", "5", 1);
     EXPECT_EQ(resolveJobs(0), 5);
     setenv("HETEROGEN_JOBS", "not-a-number", 1);
-    EXPECT_GE(resolveJobs(0), 1); // falls back to hardware default
+    EXPECT_THROW(resolveJobs(0), FatalError); // bad values are loud
     unsetenv("HETEROGEN_JOBS");
     EXPECT_GE(resolveJobs(0), 1);
 }

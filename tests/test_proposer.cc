@@ -58,7 +58,6 @@ TEST(ProposerNames, FactoryBuildsEveryKnownNameAndRejectsUnknown)
         EXPECT_TRUE(contains(e.what(), "gpt4"));
         EXPECT_TRUE(contains(e.what(), "template"));
         EXPECT_TRUE(contains(e.what(), "corpus"));
-        EXPECT_TRUE(contains(e.what(), "mixed"));
     }
 }
 
@@ -69,11 +68,7 @@ TEST(ProposerNames, DefaultHonoursEnvironmentWhenValid)
 
     ::setenv("HETEROGEN_PROPOSER", "corpus", 1);
     EXPECT_EQ(defaultProposerName(), "corpus");
-    ::setenv("HETEROGEN_PROPOSER", "mixed", 1);
-    EXPECT_EQ(defaultProposerName(), "mixed");
-    // Unknown names are ignored, not fatal: the env is advisory.
-    ::setenv("HETEROGEN_PROPOSER", "gpt4", 1);
-    EXPECT_EQ(defaultProposerName(), "template");
+    // Unknown names are fatal (EnvKnob.ProposerRejectsUnknownNames).
     ::unsetenv("HETEROGEN_PROPOSER");
     EXPECT_EQ(defaultProposerName(), "template");
 
@@ -286,26 +281,6 @@ TEST(CorpusProposer, HonoursAllowedEditsAndTheAppliedSet)
     }
 }
 
-TEST(MixedProposer, AlternatesWhichSideProposesFirst)
-{
-    auto proposer = makeProposer("mixed", ProposerConfig{});
-    std::set<std::string> applied;
-    Rng rng(7);
-    auto request = repairRequest(ErrorCategory::DynamicDataStructures,
-                                 &applied, &rng);
-    // Call 0: template side first (a bare template name); call 1: the
-    // corpus side leads with a "corpus:" rewrite; then it repeats.
-    Proposal a = proposer->propose(request);
-    Proposal b = proposer->propose(request);
-    Proposal c = proposer->propose(request);
-    ASSERT_FALSE(a.candidates.empty());
-    ASSERT_FALSE(b.candidates.empty());
-    ASSERT_FALSE(c.candidates.empty());
-    EXPECT_FALSE(startsWith(a.candidates[0].label, "corpus:"));
-    EXPECT_TRUE(startsWith(b.candidates[0].label, "corpus:"));
-    EXPECT_EQ(c.candidates[0].label, a.candidates[0].label);
-}
-
 // --- end-to-end: the search under each proposer ---------------------------
 
 const char *kSubject =
@@ -358,7 +333,7 @@ TEST(ProposerSearch, TraceCarriesProposerCounters)
 TEST(ProposerSearch, DeterministicAcrossEvalThreadsAndSeeds)
 {
     core::HeteroGen engine(kSubject);
-    for (const std::string &proposer : {"corpus", "mixed"}) {
+    for (const std::string &proposer : proposerNames()) {
         for (uint64_t seed : {1, 2, 9}) {
             SCOPED_TRACE(proposer + " seed " + std::to_string(seed));
             auto base = pipelineOptions(proposer, seed);

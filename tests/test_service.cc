@@ -54,7 +54,6 @@ tinyOptions(uint64_t seed = 1)
     opts.search.max_iterations = 40;
     opts.search.difftest_sample = 4;
     opts.search.rng_seed = seed * 31 + 7;
-    opts.engine = "bytecode";
     return opts;
 }
 
@@ -185,16 +184,12 @@ TEST(ServiceValidation, RejectsMalformedJobSpecs)
     EXPECT_THROW(validateJobSpec(bad), FatalError);
 
     bad = spec;
-    bad.proposer = "gpt4"; // per-job proposer names are validated
+    bad.options.search.proposer = "gpt4"; // per-job proposer names
     EXPECT_THROW(validateJobSpec(bad), FatalError);
 
-    bad = spec;
-    bad.options.proposer = "gpt4"; // and the nested pipeline knob
-    EXPECT_THROW(validateJobSpec(bad), FatalError);
-
-    for (const char *name : {"", "template", "corpus", "mixed"}) {
+    for (const char *name : {"", "template", "corpus"}) {
         JobSpec ok = spec;
-        ok.proposer = name;
+        ok.options.search.proposer = name;
         EXPECT_NO_THROW(validateJobSpec(ok)) << name;
     }
 }
@@ -203,7 +198,7 @@ TEST(ServiceValidation, PerJobProposerOverrideReachesTheRun)
 {
     ConversionService svc(ServiceOptions{});
     JobSpec corpus_job = tinyJob("acme");
-    corpus_job.proposer = "corpus";
+    corpus_job.options.search.proposer = "corpus";
     int corpus_id = svc.submit(corpus_job);
     int default_id = svc.submit(tinyJob("acme"));
     svc.drain();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "service/service.h"
@@ -51,7 +52,6 @@ fastOptions(const std::string &kernel, uint64_t seed)
     opts.search.max_iterations = 40;
     opts.search.difftest_sample = 4;
     opts.search.rng_seed = seed * 31 + 7;
-    opts.engine = "bytecode";
     return opts;
 }
 
@@ -98,13 +98,19 @@ struct RunRecord
     SchedulerStats stats;
 };
 
+/** Replay mixedSchedule(); with `drain_after` set, drain once after
+ * that many submits, then submit the rest and drain again. */
 RunRecord
-replay(const ServiceOptions &options)
+replay(const ServiceOptions &options, size_t drain_after = SIZE_MAX)
 {
     ConversionService svc(options);
     std::vector<int> ids;
-    for (const JobSpec &spec : mixedSchedule())
-        ids.push_back(svc.submit(spec));
+    std::vector<JobSpec> specs = mixedSchedule();
+    for (size_t i = 0; i < specs.size(); ++i) {
+        if (i == drain_after)
+            svc.drain();
+        ids.push_back(svc.submit(specs[i]));
+    }
     svc.drain();
     RunRecord rec;
     for (int id : ids) {
@@ -162,6 +168,21 @@ TEST(ServiceDeterminism, HostThreadCountNeverChangesTheSchedule)
     for (const JobStatus &s : one.statuses)
         cancelled += s.state == JobState::Cancelled;
     EXPECT_GE(cancelled, 1);
+}
+
+TEST(ServiceDeterminism, DrainSubmitDrainIsHostThreadInvariant)
+{
+    // Worker pools live for one drain only: the second drain runs on
+    // fresh pools and must still be bit-identical at any thread count.
+    RunRecord one = replay(schedulerOptions(2, 1), 5);
+    RunRecord two = replay(schedulerOptions(2, 2), 5);
+    RunRecord eight = replay(schedulerOptions(2, 8), 5);
+    expectIdentical(one, two, "two drains, host_threads 1 vs 2");
+    expectIdentical(one, eight, "two drains, host_threads 1 vs 8");
+    for (const JobStatus &s : one.statuses)
+        EXPECT_NE(s.state, JobState::Pending);
+    EXPECT_GT(one.statuses.back().start_minutes,
+              one.statuses.front().finish_minutes);
 }
 
 TEST(ServiceDeterminism, ReportsAreSlotCountInvariant)

@@ -5,6 +5,11 @@
  * sum to the report's total.
  */
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "cir/parser.h"
@@ -12,8 +17,11 @@
 #include "core/heterogen.h"
 #include "fuzz/fuzzer.h"
 #include "support/diagnostics.h"
+#include "support/faults.h"
 #include "support/run_context.h"
+#include "support/strings.h"
 #include "support/trace.h"
+#include "support/worker_pool.h"
 
 namespace heterogen {
 namespace {
@@ -359,6 +367,23 @@ TEST(SpineFuzz, ExecCountersNameTheEngineThatRan)
     EXPECT_EQ(walk_span->minutes, vm_span->minutes);
 }
 
+TEST(SpineFuzz, DefaultPipelineRunsEveryExecutionOnBytecode)
+{
+    // Production has one engine: a default-options run never reaches
+    // the tree walker, in any stage.
+    core::HeteroGen engine(kKernel);
+    core::HeteroGenOptions opts;
+    opts.kernel = "kernel";
+    opts.fuzz.max_executions = 100;
+    RunContext ctx;
+    engine.run(ctx, opts);
+    const TraceSpan &root = ctx.trace().root();
+    EXPECT_GT(root.counterTotal("interp.runs"), 0);
+    EXPECT_EQ(root.counterTotal("interp.execs.bytecode"),
+              root.counterTotal("interp.runs"));
+    EXPECT_EQ(root.counterTotal("interp.execs.tree_walk"), 0);
+}
+
 TEST(SpineFuzz, CancellationStopsTheCampaignAfterTheSeed)
 {
     auto tu = cir::parse(kKernel);
@@ -576,40 +601,11 @@ TEST(ValidateOptions, RejectsOutOfRangeFaultProbability)
     EXPECT_THROW(core::validateOptions(opts), FatalError);
 }
 
-TEST(ValidateOptions, RejectsUnknownEngineName)
-{
-    core::HeteroGenOptions opts;
-    opts.kernel = "kernel";
-    opts.engine = "qemu";
-    try {
-        core::validateOptions(opts);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        // The diagnostic must name the bad value and the legal ones.
-        EXPECT_NE(std::string(e.what()).find("qemu"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("tree_walk"),
-                  std::string::npos);
-    }
-    opts.engine = "bytecodes"; // near-miss spelling still rejected
-    EXPECT_THROW(core::validateOptions(opts), FatalError);
-}
-
-TEST(ValidateOptions, AcceptsEveryKnownEngineName)
-{
-    core::HeteroGenOptions opts;
-    opts.kernel = "kernel";
-    for (const char *name :
-         {"", "tree_walk", "bytecode", "differential"}) {
-        opts.engine = name;
-        EXPECT_NO_THROW(core::validateOptions(opts)) << name;
-    }
-}
-
 TEST(ValidateOptions, RejectsUnknownProposerName)
 {
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    opts.proposer = "gpt4";
+    opts.search.proposer = "gpt4";
     try {
         core::validateOptions(opts);
         FAIL() << "expected FatalError";
@@ -619,11 +615,9 @@ TEST(ValidateOptions, RejectsUnknownProposerName)
         EXPECT_NE(std::string(e.what()).find("template"),
                   std::string::npos);
     }
-    opts.proposer = "corpuses"; // near-miss spelling still rejected
+    opts.search.proposer = "corpuses"; // near-miss spelling rejected
     EXPECT_THROW(core::validateOptions(opts), FatalError);
-    // The nested search knob is validated too, not just the override.
-    opts.proposer.clear();
-    opts.search.proposer = "gpt4";
+    opts.search.proposer = "mixed"; // the retired round-robin proposer
     EXPECT_THROW(core::validateOptions(opts), FatalError);
 }
 
@@ -631,8 +625,7 @@ TEST(ValidateOptions, AcceptsEveryKnownProposerName)
 {
     core::HeteroGenOptions opts;
     opts.kernel = "kernel";
-    for (const char *name : {"", "template", "corpus", "mixed"}) {
-        opts.proposer = name;
+    for (const char *name : {"", "template", "corpus"}) {
         opts.search.proposer = name;
         EXPECT_NO_THROW(core::validateOptions(opts)) << name;
     }
@@ -656,6 +649,126 @@ TEST(ValidateOptions, RunRejectsBadOptionsBeforeAnyStage)
     opts.kernel = "kernel";
     opts.search.difftest_sim_workers = 0;
     EXPECT_THROW(engine.run(opts), FatalError);
+}
+
+// --- environment knobs: one error policy ---------------------------------
+
+/** Sets one environment variable for a scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const std::string &value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            saved_ = old;
+        ::setenv(name, value.c_str(), 1);
+    }
+    ~ScopedEnv()
+    {
+        if (saved_)
+            ::setenv(name_, saved_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
+
+/**
+ * With `name` set to `bad`, `read` (the knob's reader) must throw a
+ * FatalError naming the variable, the value and the legal `expected`.
+ */
+template <typename Read>
+void
+expectKnobRejects(const char *name, const std::string &bad,
+                  const std::string &expected, Read read)
+{
+    ScopedEnv env(name, bad);
+    try {
+        read();
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_TRUE(contains(what, name)) << what;
+        EXPECT_TRUE(contains(what, "'" + bad + "'")) << what;
+        EXPECT_TRUE(contains(what, expected)) << what;
+    }
+}
+
+TEST(EnvKnob, JobsRejectsBadValues)
+{
+    for (const char *bad : {"not-a-number", "0", "-2", "2000", "4x"})
+        expectKnobRejects("HETEROGEN_JOBS", bad, "[1, 1024]",
+                          [] { resolveJobs(0); });
+    ScopedEnv env("HETEROGEN_JOBS", " 3 ");
+    EXPECT_EQ(resolveJobs(0), 3);
+    EXPECT_EQ(resolveJobs(2), 2); // an explicit request never reads it
+}
+
+TEST(EnvKnob, ProposerRejectsUnknownNames)
+{
+    for (const char *bad : {"gpt4", "mixed", "Template"})
+        expectKnobRejects("HETEROGEN_PROPOSER", bad, "template or corpus",
+                          [] { repair::defaultProposerName(); });
+    ScopedEnv env("HETEROGEN_PROPOSER", "corpus");
+    EXPECT_EQ(repair::SearchOptions{}.proposer, "corpus");
+}
+
+TEST(EnvKnob, StreamDepthRejectsOutOfRangeValues)
+{
+    for (const char *bad : {"0", "1025", "deep", "2.5"})
+        expectKnobRejects("HETEROGEN_STREAM_DEPTH", bad, "[1, 1024]",
+                          [] { hls::defaultStreamDepth(); });
+    ScopedEnv env("HETEROGEN_STREAM_DEPTH", "16");
+    EXPECT_EQ(hls::HlsConfig{}.stream_depth, 16);
+}
+
+TEST(EnvKnob, LogRejectsUnknownLevels)
+{
+    for (const char *bad : {"verbose", "warning"})
+        expectKnobRejects("HETEROGEN_LOG", bad,
+                          "debug, info, warn or error",
+                          [] { envLogLevel(); });
+    ScopedEnv env("HETEROGEN_LOG", "INFO");
+    EXPECT_EQ(envLogLevel(), LogLevel::Info);
+}
+
+TEST(EnvKnob, CacheDirRejectsUnusableDirectories)
+{
+    // A path below a regular file can never become a directory.
+    std::string file = ::testing::TempDir() + "env_knob_cache_file";
+    std::ofstream(file) << "x";
+    expectKnobRejects("HETEROGEN_CACHE_DIR", file + "/nested",
+                      "a creatable, writable directory",
+                      [] { repair::defaultCacheDir(); });
+    std::remove(file.c_str());
+    ScopedEnv blank("HETEROGEN_CACHE_DIR", "  ");
+    EXPECT_EQ(repair::defaultCacheDir(), ""); // blank = unset
+}
+
+TEST(EnvKnob, FaultsRejectsMalformedSpecs)
+{
+    for (const char *bad :
+         {"hls.compile:1.5:transient", "nosuch.site:0.1:crash",
+          "hls.compile:0.1:meltdown"})
+        expectKnobRejects("HETEROGEN_FAULTS", bad, "rules",
+                          [] { FaultPlan::fromEnv(); });
+    ScopedEnv env("HETEROGEN_FAULTS", "hls.compile:0.25:crash");
+    EXPECT_EQ(FaultPlan::fromEnv().spec(), "hls.compile:0.25:crash");
+}
+
+TEST(EnvKnob, FaultSeedRejectsNonNumbers)
+{
+    ScopedEnv spec("HETEROGEN_FAULTS", "hls.compile:0.2:crash");
+    for (const char *bad : {"abc", "-1", "12abc",
+                            "99999999999999999999999"})
+        expectKnobRejects("HETEROGEN_FAULT_SEED", bad,
+                          "unsigned 64-bit integer",
+                          [] { FaultPlan::fromEnv(); });
+    ScopedEnv seed("HETEROGEN_FAULT_SEED", "18446744073709551615");
+    EXPECT_EQ(FaultPlan::fromEnv().seed, 18446744073709551615ull);
 }
 
 // --- logging: levels and the pluggable sink ------------------------------
