@@ -1,30 +1,115 @@
 /**
  * @file
- * Parallel candidate-evaluation scaling: differential-testing throughput
- * versus worker count, plus the candidate-memo hit rate, on one subject.
+ * Parallel scaling of the two pooled pipeline stages.
  *
- * The campaign cost model charges the critical path of round-robin test
- * assignment across N co-simulation sessions, so throughput (tests per
- * simulated minute) rises with N until the fixed session setup and the
- * most loaded worker dominate. The host-side pool runs the same
- * evaluation for real; results are byte-identical at every size (see
- * tests/test_parallel.cc) — only the clocks move.
+ * Differential testing: throughput versus worker count, plus the
+ * candidate-memo hit rate, on one subject. The campaign cost model
+ * charges the critical path of round-robin test assignment across N
+ * co-simulation sessions, so throughput (tests per simulated minute)
+ * rises with N until the fixed session setup and the most loaded worker
+ * dominate. The host-side pool runs the same evaluation for real;
+ * results are byte-identical at every size (see tests/test_parallel.cc)
+ * — only the clocks move.
  *
- * Ends with one machine-readable JSON line for dashboard scraping.
+ * Fuzzing: host seconds and busy cores of the standard campaign on the
+ * subjects whose fuzzing takes seconds (P3, P4, P9, S4) at 1, 2 and 4
+ * threads, median of three runs. Busy cores is process CPU seconds over
+ * wall seconds; kernel runs are nearly all of a campaign's CPU time.
+ * The executions, suite size and simulated minutes are printed per
+ * thread count and must not move.
+ *
+ * Prints one machine-readable JSON line and writes BENCH_parallel.json
+ * (override with --out <path>) with the build type, core count and
+ * HETEROGEN_JOBS the numbers were taken under.
  */
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench/common.h"
 #include "repair/difftest.h"
 #include "support/worker_pool.h"
 
+#ifndef HG_BUILD_TYPE
+#define HG_BUILD_TYPE "unknown"
+#endif
+
 using namespace heterogen;
 
-int
-main()
+namespace {
+
+double
+cpuSeconds()
 {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return double(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           double(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/** One subject's fuzz campaign at one thread count. */
+struct FuzzPoint
+{
+    int threads = 0;
+    double host_s = 0;
+    double busy_cores = 0;
+    int executions = 0;
+    size_t suite = 0;
+    double sim_minutes = 0;
+};
+
+FuzzPoint
+measureFuzz(const subjects::Subject &subject, int threads)
+{
+    core::HeteroGen engine(subject.source);
+    fuzz::FuzzOptions opts = bench::standardOptions(subject).fuzz;
+    opts.host_function = subject.host;
+    opts.threads = threads;
+    std::vector<std::pair<double, double>> reps; // (wall, cpu)
+    FuzzPoint point;
+    point.threads = threads;
+    for (int rep = 0; rep < 3; ++rep) {
+        double cpu0 = cpuSeconds();
+        auto t0 = std::chrono::steady_clock::now();
+        fuzz::FuzzResult r = fuzz::fuzzKernel(
+            engine.program(), subject.kernel, engine.sema(), opts);
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        reps.push_back({wall, cpuSeconds() - cpu0});
+        point.executions = r.executions;
+        point.suite = r.suite.size();
+        point.sim_minutes = r.sim_minutes;
+    }
+    std::sort(reps.begin(), reps.end());
+    point.host_s = reps[1].first;
+    point.busy_cores = reps[1].second / reps[1].first;
+    return point;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    std::string out_path = "BENCH_parallel.json";
+    for (int i = 1; i < argc; ++i) {
+        std::string a = argv[i];
+        if (a == "--out" && i + 1 < argc)
+            out_path = argv[++i];
+        else if (a.rfind("--out=", 0) == 0)
+            out_path = a.substr(6);
+        else
+            std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
+    }
+
     const subjects::Subject &subject = subjects::subjectById("P9");
     std::printf("Parallel candidate evaluation, subject %s (%s)\n\n",
                 subject.id.c_str(), subject.name.c_str());
@@ -66,6 +151,26 @@ main()
                     sim_minutes[0] / sim_minutes[j], wall_ms);
     }
 
+    std::printf("\nFuzz campaign scaling (median of 3)\n");
+    std::printf("%-4s %8s %10s %11s %11s %7s %10s\n", "id", "threads",
+                "host(s)", "busy cores", "executions", "suite",
+                "sim(min)");
+    const char *kFuzzSubjects[] = {"P3", "P4", "P9", "S4"};
+    const int kFuzzThreads[] = {1, 2, 4};
+    std::vector<std::pair<std::string, std::vector<FuzzPoint>>> fuzz_rows;
+    for (const char *id : kFuzzSubjects) {
+        const subjects::Subject &s = subjects::subjectById(id);
+        std::vector<FuzzPoint> points;
+        for (int threads : kFuzzThreads) {
+            FuzzPoint p = measureFuzz(s, threads);
+            std::printf("%-4s %8d %10.3f %11.2f %11d %7zu %10.4f\n", id,
+                        threads, p.host_s, p.busy_cores, p.executions,
+                        p.suite, p.sim_minutes);
+            points.push_back(p);
+        }
+        fuzz_rows.push_back({id, points});
+    }
+
     std::printf("\n{\"bench\":\"parallel_scaling\",\"subject\":\"%s\","
                 "\"tests\":%d,"
                 "\"throughput_per_simmin\":{\"1\":%.1f,\"2\":%.1f,"
@@ -77,5 +182,48 @@ main()
                 throughput[2], throughput[3],
                 sim_minutes[0] / sim_minutes[2], memo.hits(),
                 memo.misses(), memo.hitRate());
+
+    std::FILE *f = std::fopen(out_path.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 1;
+    }
+    const char *jobs = std::getenv("HETEROGEN_JOBS");
+    std::fprintf(f, "{\n  \"bench\": \"parallel_scaling\",\n");
+    std::fprintf(f,
+                 "  \"conditions\": {\"build_type\": \"%s\", "
+                 "\"cores\": %u, \"heterogen_jobs\": \"%s\"},\n",
+                 HG_BUILD_TYPE, std::thread::hardware_concurrency(),
+                 jobs ? jobs : "");
+    std::fprintf(f,
+                 "  \"difftest\": {\"subject\": \"%s\", \"tests\": %d, "
+                 "\"sim_minutes\": {\"1\": %.4f, \"2\": %.4f, "
+                 "\"4\": %.4f, \"8\": %.4f}, \"memo_hits\": %d, "
+                 "\"memo_misses\": %d},\n",
+                 subject.id.c_str(), tests, sim_minutes[0], sim_minutes[1],
+                 sim_minutes[2], sim_minutes[3], memo.hits(),
+                 memo.misses());
+    std::fprintf(f, "  \"fuzz\": [\n");
+    for (size_t i = 0; i < fuzz_rows.size(); ++i) {
+        const auto &[id, points] = fuzz_rows[i];
+        const FuzzPoint &one = points.front();
+        std::fprintf(f,
+                     "    {\"id\": \"%s\", \"executions\": %d, "
+                     "\"suite\": %zu, \"sim_minutes\": %.4f, ",
+                     id.c_str(), one.executions, one.suite,
+                     one.sim_minutes);
+        for (size_t j = 0; j < points.size(); ++j) {
+            std::fprintf(f,
+                         "\"threads_%d\": {\"host_s\": %.3f, "
+                         "\"busy_cores\": %.2f}%s",
+                         points[j].threads, points[j].host_s,
+                         points[j].busy_cores,
+                         j + 1 < points.size() ? ", " : "");
+        }
+        std::fprintf(f, "}%s\n", i + 1 < fuzz_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -4,6 +4,7 @@
 #include "cir/printer.h"
 #include "repair/transforms.h"
 #include "support/strings.h"
+#include "support/worker_pool.h"
 
 namespace heterogen::core {
 
@@ -77,16 +78,23 @@ validateOptions(const HeteroGenOptions &options)
 
 interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite)
+                  const std::string &kernel, const fuzz::TestSuite &suite,
+                  WorkerPool *pool)
 {
-    interp::ValueProfile profile;
+    // Each case profiles into its own slot; merging is min/max, so the
+    // in-order merge equals the one-profile serial loop exactly.
+    const std::vector<fuzz::TestCase> &cases = suite.cases();
+    std::vector<interp::ValueProfile> locals(cases.size());
     interp::Interpreter interp(tu);
-    for (const fuzz::TestCase &test : suite.cases()) {
+    parallelForEach(pool, cases.size(), [&](size_t i) {
         interp::RunOptions opts;
-        opts.profile = &profile;
+        opts.profile = &locals[i];
         opts.trace = &ctx;
-        interp.run(kernel, test.args, opts);
-    }
+        interp.run(kernel, cases[i].args, opts);
+    });
+    interp::ValueProfile profile;
+    for (const interp::ValueProfile &local : locals)
+        profile.merge(local);
     return profile;
 }
 
@@ -137,19 +145,28 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
             options.stage_hook(name);
     };
 
-    // (1) Test input generation (opens the "fuzz" span).
     if (fuzz_opts.host_function.empty())
         fuzz_opts.host_function = options.host_function;
-    stage("fuzz");
-    report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel, sema_,
-                                      fuzz_opts);
-
-    // (2) Initial HLS version: profile value ranges, estimate types.
     {
+        // Fuzz and profile share one pool: the caller's, else one sized
+        // by fuzz.threads and released before the repair search.
+        std::unique_ptr<WorkerPool> owned_pool;
+        if (!fuzz_opts.pool) {
+            owned_pool = std::make_unique<WorkerPool>(fuzz_opts.threads);
+            fuzz_opts.pool = owned_pool.get();
+        }
+
+        // (1) Test input generation (opens the "fuzz" span).
+        stage("fuzz");
+        report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel,
+                                          sema_, fuzz_opts);
+
+        // (2) Initial HLS version: profile value ranges, estimate types.
         stage("profile");
         SpanScope profiling(ctx, "profile");
         report.profile = profileUnderSuite(ctx, *tu_, options.kernel,
-                                           report.testgen.suite);
+                                           report.testgen.suite,
+                                           fuzz_opts.pool);
     }
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;

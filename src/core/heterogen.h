@@ -66,10 +66,11 @@ struct HeteroGenOptions
     hls::HlsConfig config;
     /**
      * Shared host pool (non-owning) for every parallel leaf of the run
-     * — fuzz batches and difftest fan-out. Overrides fuzz.pool and
-     * search.pool wholesale. The conversion service points every
-     * concurrent job at one bounded pool; with per-batch waits and
-     * thread-invariant results, sharing never changes a report.
+     * — fuzz batches, profile runs and difftest fan-out. Overrides
+     * fuzz.pool and search.pool wholesale. The conversion service
+     * points every concurrent job at one bounded pool; with per-batch
+     * waits and thread-invariant results, sharing never changes a
+     * report.
      */
     WorkerPool *eval_pool = nullptr;
     /**
@@ -181,12 +182,14 @@ class HeteroGen
 
 /**
  * Profile the program's value ranges by running every test in the suite
- * (used for initial HLS version generation). Bumps interp.* counters on
- * the context.
+ * (used for initial HLS version generation). The runs fan out over
+ * `pool` (null = serially inline); the profile and the interp.*
+ * counters bumped on the context are the same at any thread count.
  */
 interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const cir::TranslationUnit &tu,
-                  const std::string &kernel, const fuzz::TestSuite &suite);
+                  const std::string &kernel, const fuzz::TestSuite &suite,
+                  WorkerPool *pool);
 
 } // namespace heterogen::core
 

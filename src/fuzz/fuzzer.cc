@@ -1,5 +1,7 @@
 #include "fuzz/fuzzer.h"
 
+#include <exception>
+
 #include "cir/sema.h"
 #include "cir/walk.h"
 #include "support/diagnostics.h"
@@ -70,6 +72,31 @@ kernelBranchCount(const cir::TranslationUnit &tu,
     }
     return count;
 }
+
+/**
+ * Mutation batches launched beyond the one being committed. A fixed
+ * depth: one batch ahead hides part of each batch's slowest-run tail,
+ * three hide most of it, and more buys nothing on four cores.
+ */
+constexpr size_t kLookAheadBatches = 3;
+
+/**
+ * One mutation batch: its input, the variants it runs, and the
+ * per-variant slots its pool tasks fill. `group` is the last member so
+ * it is destroyed first — waiting for the tasks before the slots they
+ * write go away.
+ */
+struct Batch
+{
+    std::vector<KernelArg> input;
+    std::vector<std::vector<KernelArg>> variants;
+    std::vector<CoverageMap> locals;
+    std::vector<RunResult> runs;
+    std::vector<std::exception_ptr> errors;
+    TaskGroup group;
+
+    explicit Batch(WorkerPool *pool) : group(pool) {}
+};
 
 std::vector<cir::TypePtr>
 kernelParamTypes(const cir::TranslationUnit &tu, const std::string &kernel)
@@ -165,35 +192,6 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         }
     };
 
-    /**
-     * Execute a batch of inputs: kernel runs fan out across the pool
-     * into private per-input coverage maps, then merge serially in
-     * input order with the serial loop's exact stop conditions — a
-     * budget or execution cap reached mid-batch discards the tail, so
-     * the outcome matches the one-at-a-time path byte for byte.
-     */
-    auto executeBatch = [&](const std::vector<std::vector<KernelArg>>
-                                &batch) {
-        std::vector<CoverageMap> locals(
-            batch.size(), CoverageMap(result.coverage.numBranches()));
-        std::vector<RunResult> runs(batch.size());
-        parallelForEach(pool, batch.size(), [&](size_t i) {
-            RunOptions opts;
-            opts.coverage = &locals[i];
-            opts.max_steps = options.max_steps_per_run;
-            opts.trace = &ctx;
-            opts.engine = options.engine;
-            runs[i] = interp.run(kernel, batch[i], opts);
-        });
-        for (size_t i = 0; i < batch.size(); ++i) {
-            if (result.executions >= options.max_executions ||
-                ctx.shouldStop()) {
-                break; // speculative tail executions are not counted
-            }
-            bookkeep(batch[i], locals[i], runs[i]);
-        }
-    };
-
     // The seed itself is always executed and retained.
     {
         CoverageMap local(result.coverage.numBranches());
@@ -211,21 +209,101 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         result.suite.add(seed);
     }
 
+    // Launched, not yet committed batches in input order, and their
+    // total run count.
+    std::deque<std::unique_ptr<Batch>> in_flight;
+    size_t in_flight_runs = 0;
+
+    /**
+     * Launch the mutation batch of the queue's front input: its kernel
+     * runs fan out across the pool into private per-variant coverage
+     * maps. Runs are not counted on the trace here — commit() does
+     * that — so a batch launched ahead and then dropped leaves none.
+     */
+    auto launch = [&] {
+        auto batch = std::make_unique<Batch>(pool);
+        Batch &b = *batch;
+        b.input = std::move(queue.front());
+        queue.pop_front();
+        b.variants = mutator.mutate(b.input, options.mutations_per_input);
+        size_t n = b.variants.size();
+        b.locals.assign(n, CoverageMap(result.coverage.numBranches()));
+        b.runs.resize(n);
+        b.errors.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+            b.group.run([&b, i, &interp, &kernel, &options] {
+                try {
+                    RunOptions opts;
+                    opts.coverage = &b.locals[i];
+                    opts.max_steps = options.max_steps_per_run;
+                    opts.engine = options.engine;
+                    b.runs[i] = interp.run(kernel, b.variants[i], opts);
+                    // Only the clock and counters read a batch's runs.
+                    b.runs[i].out_args.clear();
+                } catch (...) {
+                    b.errors[i] = std::current_exception();
+                }
+            });
+        }
+        in_flight_runs += n;
+        in_flight.push_back(std::move(batch));
+    };
+
+    /**
+     * Reduce the oldest in-flight batch serially in input order, with
+     * the serial loop's exact stop conditions: a budget or execution
+     * cap reached mid-batch discards the tail, so the outcome matches
+     * the one-at-a-time path byte for byte. Every run of the batch is
+     * counted, the uncommitted tail included.
+     */
+    auto commit = [&] {
+        std::unique_ptr<Batch> batch = std::move(in_flight.front());
+        in_flight.pop_front();
+        batch->group.wait();
+        in_flight_runs -= batch->runs.size();
+        for (const std::exception_ptr &error : batch->errors) {
+            if (error)
+                std::rethrow_exception(error);
+        }
+        for (const RunResult &run : batch->runs)
+            interp::countRun(ctx, run);
+        for (size_t i = 0; i < batch->variants.size(); ++i) {
+            if (result.executions >= options.max_executions ||
+                ctx.shouldStop()) {
+                break; // the tail stays out of the corpus and clock
+            }
+            bookkeep(batch->variants[i], batch->locals[i], batch->runs[i]);
+        }
+        // Keep cycling the corpus.
+        queue.push_back(std::move(batch->input));
+    };
+
     // --- fuzzing loop (Algorithm 1, lines 7-12) --------------------------
-    while (!queue.empty() &&
+    // Committing a batch only appends to the queue, so while entries
+    // remain behind the one being committed, the next inputs are
+    // already fixed: launch their batches ahead (mutating in queue
+    // order keeps the RNG draws identical) unless the serial loop would
+    // not reach them before the execution cap. A one-thread pool runs
+    // tasks inline, so there it launches nothing ahead.
+    const size_t look_ahead = pool->threads() > 1 ? kLookAheadBatches : 0;
+    while ((!in_flight.empty() || !queue.empty()) &&
            result.executions < options.max_executions &&
            !ctx.shouldStop()) {
         if (span.minutes() - result.last_progress_minutes >
             options.plateau_minutes) {
             break; // coverage plateaued; AFL timing indicator protocol
         }
-        std::vector<KernelArg> input = queue.front();
-        queue.pop_front();
-        auto variants = mutator.mutate(input, options.mutations_per_input);
-        executeBatch(variants);
-        // Keep cycling the corpus.
-        queue.push_back(std::move(input));
+        if (in_flight.empty())
+            launch();
+        while (in_flight.size() <= look_ahead && !queue.empty() &&
+               result.executions + in_flight_runs <
+                   size_t(options.max_executions)) {
+            launch();
+        }
+        commit();
     }
+    // Batches launched past a stop are waited for and dropped.
+    in_flight.clear();
     result.sim_minutes = span.minutes();
     ctx.count("fuzz.suite_size",
               static_cast<int64_t>(result.suite.size()));

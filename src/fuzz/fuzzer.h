@@ -64,18 +64,22 @@ struct FuzzOptions
      */
     interp::EngineKind engine = interp::defaultEngine();
     /**
-     * Host threads executing each mutation batch (0 = HETEROGEN_JOBS /
-     * hardware default). Purely an execution detail: mutation drawing
-     * and corpus bookkeeping stay serial in input order, so the final
-     * corpus, coverage and simulated clock are byte-identical at any
-     * thread count (tests/test_parallel.cc asserts this).
+     * Host threads executing the mutation batches when `pool` is unset
+     * (0 = HETEROGEN_JOBS / hardware default). Purely an execution
+     * detail: on more than one thread, up to three batches whose inputs
+     * are already fixed run ahead of the one being reduced, but mutation
+     * drawing and corpus bookkeeping stay serial in input order, so the
+     * final corpus, coverage, simulated clock and trace are
+     * byte-identical at any thread count (tests/test_parallel.cc
+     * asserts this). One thread runs one batch at a time.
      */
     int threads = 0;
     /**
      * Shared host pool for the execution batches (non-owning; overrides
-     * `threads` when set). Batch waits are per-call, so many concurrent
-     * campaigns — the conversion service's jobs — may share one pool
-     * without changing any campaign's outcome.
+     * `threads` when set). HeteroGen::run always sets it, sharing one
+     * pool between the fuzz and profile stages. Batch waits are per
+     * batch, so many concurrent campaigns — the conversion service's
+     * jobs — may share one pool without changing any campaign's outcome.
      */
     WorkerPool *pool = nullptr;
 };

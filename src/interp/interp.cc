@@ -1632,16 +1632,20 @@ Interpreter::run(const std::string &function,
         Engine walker(tu_, options);
         result = walker.run(function, args);
     }
-    if (options.trace) {
-        options.trace->count("interp.runs");
-        options.trace->count(std::string("interp.execs.") +
-                             engineName(engine));
-        options.trace->count("interp.steps",
-                             static_cast<int64_t>(result.steps));
-        if (!result.ok)
-            options.trace->count("interp.traps");
-    }
+    result.engine = engine;
+    if (options.trace)
+        countRun(*options.trace, result);
     return result;
+}
+
+void
+countRun(RunContext &trace, const RunResult &result)
+{
+    trace.count("interp.runs");
+    trace.count(std::string("interp.execs.") + engineName(result.engine));
+    trace.count("interp.steps", static_cast<int64_t>(result.steps));
+    if (!result.ok)
+        trace.count("interp.traps");
 }
 
 RunResult

@@ -133,11 +133,13 @@ struct RunOptions
     std::string capture_function;
     std::vector<KernelArg> *captured_args = nullptr;
     /**
-     * When non-null, each run bumps interp.runs / interp.steps /
-     * interp.traps counters on the spine (support/run_context.h).
-     * Counter updates are thread-safe, so concurrent runs (parallel
-     * difftest, fuzz batches) may share one context; totals are
-     * thread-count invariant because they are plain integer sums.
+     * When non-null, each run bumps the countRun counters on the spine
+     * (support/run_context.h). Counter updates are thread-safe, so
+     * concurrent runs (parallel difftest, profile) may share one
+     * context; totals are thread-count invariant because they are
+     * plain integer sums. Runs whose counting is decided later (the
+     * fuzzer's look-ahead batches) leave this null and call countRun
+     * themselves.
      */
     RunContext *trace = nullptr;
     /**
@@ -158,6 +160,9 @@ struct RunResult
     std::vector<KernelArg> out_args;
     uint64_t cycles = 0;
     uint64_t steps = 0;
+    /** The engine that ran: the tree walker when the bytecode
+     * compiler bailed on an unsupported construct. */
+    EngineKind engine = EngineKind::TreeWalk;
     /**
      * Engine::Differential only: empty when both engines agreed on
      * every observable; otherwise a description of the first diverging
@@ -172,6 +177,12 @@ struct RunResult
     /** Behavioural identity: return value, out state and trap equality. */
     bool sameBehavior(const RunResult &other) const;
 };
+
+/**
+ * Bump interp.runs, interp.execs.<engine>, interp.steps and
+ * interp.traps for one finished run on the context's innermost span.
+ */
+void countRun(RunContext &trace, const RunResult &result);
 
 /**
  * Interpreter facade bound to one translation unit.

@@ -52,7 +52,7 @@ struct Place
 class Value
 {
   public:
-    Value() = default;
+    Value() : int_(0) {}
 
     static Value
     makeInt(long v, const cir::Type *type = nullptr)
@@ -112,10 +112,23 @@ class Value
     bool isStream() const { return kind_ == ValueKind::Stream; }
     bool isNumeric() const { return isInt() || isFloat(); }
 
-    long asInt() const { return int_; }
-    double asFloat() const { return isInt() ? double(int_) : float_; }
-    Place asPlace() const { return place_; }
-    int32_t streamId() const { return static_cast<int32_t>(int_); }
+    /** The integer payload; 0 unless the kind is Int or Stream. */
+    long
+    asInt() const
+    {
+        return isInt() || isStream() ? int_ : 0;
+    }
+
+    /** Numeric value as a double; 0.0 for Pointer, Stream and Unset. */
+    double
+    asFloat() const
+    {
+        return isInt() ? double(int_) : isFloat() ? float_ : 0.0;
+    }
+
+    /** The pointed-to place; {0, 0} for every non-pointer kind. */
+    Place asPlace() const { return isPointer() ? place_ : Place{}; }
+    int32_t streamId() const { return static_cast<int32_t>(asInt()); }
 
     /** Declared cell type (may be null for temporaries). */
     const cir::Type *type() const { return type_; }
@@ -140,12 +153,22 @@ class Value
     std::string str() const;
 
   private:
+    // One payload word shared by the kinds: Int and Stream use int_,
+    // Float uses float_, Pointer uses place_. The accessors check the
+    // kind, so reading through the wrong member never happens.
     ValueKind kind_ = ValueKind::Unset;
-    long int_ = 0;
-    double float_ = 0;
-    Place place_;
+    union
+    {
+        long int_;
+        double float_;
+        Place place_;
+    };
     const cir::Type *type_ = nullptr;
 };
+
+// Memory cells are Values, so their size is the interpreter's heap
+// footprint: kind, one 8-byte payload, and the type pointer.
+static_assert(sizeof(Value) == 24, "interp::Value must stay 24 bytes");
 
 /** Wrap an integer to a signed/unsigned field of `bits` bits. */
 inline long

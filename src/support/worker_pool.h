@@ -13,8 +13,8 @@
  * must write only to their own output slot (index i of a pre-sized
  * vector). Callers then reduce the slots serially in input order, so any
  * observable outcome is independent of the thread count. Every parallel
- * consumer in the library (difftest, fuzz batches) follows this pattern
- * and is covered by tests/test_parallel.cc.
+ * consumer in the library (difftest, fuzz batches, profile runs)
+ * follows this pattern and is covered by tests/test_parallel.cc.
  */
 
 #ifndef HETEROGEN_SUPPORT_WORKER_POOL_H

@@ -567,6 +567,66 @@ TEST(Interp, StaticStreamSharedAcrossCalls)
     EXPECT_TRUE(r.ok) << r.trap;
 }
 
+TEST(Value, AccessorsReadOnlyTheirOwnKind)
+{
+    // The payload is one union, so every accessor must check the kind:
+    // these are the results each kind has always given.
+    const cir::Type *int_type = cir::Type::intType().get();
+    const cir::Type *float_type = cir::Type::floatType().get();
+
+    Value unset;
+    EXPECT_EQ(unset.kind(), ValueKind::Unset);
+    EXPECT_EQ(unset.asInt(), 0);
+    EXPECT_EQ(unset.asFloat(), 0.0);
+    EXPECT_EQ(unset.asPlace(), Place{});
+    EXPECT_EQ(unset.streamId(), 0);
+    EXPECT_FALSE(unset.truthy());
+    EXPECT_EQ(unset.type(), nullptr);
+
+    Value i = Value::makeInt(-7, int_type);
+    EXPECT_EQ(i.kind(), ValueKind::Int);
+    EXPECT_EQ(i.asInt(), -7);
+    EXPECT_EQ(i.asFloat(), -7.0);
+    EXPECT_EQ(i.asPlace(), Place{});
+    EXPECT_EQ(i.streamId(), -7);
+    EXPECT_TRUE(i.truthy());
+    EXPECT_EQ(i.type(), int_type);
+
+    Value f = Value::makeFloat(2.5, float_type);
+    EXPECT_EQ(f.kind(), ValueKind::Float);
+    EXPECT_EQ(f.asInt(), 0);
+    EXPECT_EQ(f.asFloat(), 2.5);
+    EXPECT_EQ(f.asPlace(), Place{});
+    EXPECT_EQ(f.streamId(), 0);
+    EXPECT_TRUE(f.truthy());
+    EXPECT_EQ(f.type(), float_type);
+
+    Value p = Value::makePointer({3, 5});
+    EXPECT_EQ(p.kind(), ValueKind::Pointer);
+    EXPECT_EQ(p.asInt(), 0);
+    EXPECT_EQ(p.asFloat(), 0.0);
+    EXPECT_EQ(p.asPlace(), (Place{3, 5}));
+    EXPECT_EQ(p.streamId(), 0);
+    EXPECT_TRUE(p.truthy());
+    EXPECT_FALSE(Value::makePointer({0, 4}).truthy());
+    EXPECT_EQ(p.type(), nullptr);
+
+    Value s = Value::makeStream(9);
+    EXPECT_EQ(s.kind(), ValueKind::Stream);
+    EXPECT_EQ(s.asInt(), 9);
+    EXPECT_EQ(s.asFloat(), 0.0);
+    EXPECT_EQ(s.asPlace(), Place{});
+    EXPECT_EQ(s.streamId(), 9);
+    EXPECT_TRUE(s.truthy());
+    EXPECT_EQ(s.type(), nullptr);
+
+    // Int/float compare numerically; other kinds only against their own.
+    EXPECT_TRUE(Value::makeInt(2).equals(Value::makeFloat(2.0)));
+    EXPECT_FALSE(p.equals(Value::makePointer({3, 6})));
+    EXPECT_FALSE(s.equals(Value::makeInt(9)));
+    EXPECT_EQ(sizeof(Value), 24u);
+}
+
 class WrapWidthTest : public ::testing::TestWithParam<int>
 {};
 

@@ -11,12 +11,16 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <numeric>
+#include <thread>
 
 #include "cir/parser.h"
 #include "cir/sema.h"
+#include "core/heterogen.h"
 #include "fuzz/fuzzer.h"
 #include "repair/difftest.h"
+#include "subjects/subjects.h"
 #include "support/run_context.h"
 #include "support/worker_pool.h"
 
@@ -279,6 +283,267 @@ TEST(ParallelFuzz, SameCorpusAndCoverageAcrossThreadCounts)
             SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                          std::to_string(threads));
             expectSameFuzz(serial, parallel);
+        }
+    }
+}
+
+// --- look-ahead fuzz batches ----------------------------------------------
+
+/**
+ * Every way a campaign stops must leave the same corpus and trace at
+ * any thread count: threads=1 launches nothing ahead, so it is the
+ * one-batch-at-a-time reference for the look-ahead runs at 2 and 8.
+ */
+struct Campaign
+{
+    fuzz::FuzzResult result;
+    std::string trace_json;
+    int64_t interp_runs = 0;
+};
+
+/** The kernel plus a host entry whose run supplies the seed. */
+const char *kHosted = R"(
+    int kernel(int a[8], int n) {
+        int acc = 0;
+        for (int i = 0; i < 8; i++) {
+            if (a[i] > 64) { acc += a[i] * 2; }
+            else if (a[i] < -10) { acc -= a[i]; }
+            else { acc += i; }
+        }
+        int j = 0;
+        while (j < n % 7) { acc += j * j; j++; }
+        return acc;
+    }
+    int host() {
+        int a[8];
+        for (int i = 0; i < 8; i++) { a[i] = i * 3; }
+        return kernel(a, 5);
+    }
+)";
+
+Campaign
+runCampaign(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options,
+            RunContext &ctx)
+{
+    cir::SemaResult sema = cir::analyzeOrDie(tu);
+    Campaign c;
+    c.result = fuzz::fuzzKernel(ctx, tu, "kernel", sema, options);
+    c.trace_json = ctx.traceJson();
+    c.interp_runs = ctx.trace().root().counterTotal("interp.runs");
+    return c;
+}
+
+Campaign
+runCampaign(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options)
+{
+    RunContext ctx;
+    return runCampaign(tu, options, ctx);
+}
+
+fuzz::FuzzOptions
+lookAheadOptions(uint64_t seed)
+{
+    fuzz::FuzzOptions options;
+    options.host_function = "host";
+    options.rng_seed = seed;
+    options.mutations_per_input = 8;
+    options.min_suite_size = 16;
+    options.max_steps_per_run = 100000;
+    options.max_executions = 100000;
+    options.budget_minutes = 1e9;
+    options.plateau_minutes = 1e9;
+    return options;
+}
+
+void
+expectSameCampaigns(const fuzz::FuzzOptions &base, cir::TranslationUnit &tu,
+                    const Campaign &serial)
+{
+    for (int threads : kThreadCounts) {
+        fuzz::FuzzOptions options = base;
+        options.threads = threads;
+        Campaign c = runCampaign(tu, options);
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expectSameFuzz(serial.result, c.result);
+        EXPECT_EQ(c.trace_json, serial.trace_json);
+    }
+}
+
+TEST(LookAheadFuzz, CapReachedMidBatchStopsIdentically)
+{
+    auto tu = program(kHosted);
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        fuzz::FuzzOptions options = lookAheadOptions(seed);
+        options.max_executions = 150; // the seed + 18 batches + 5 runs
+        options.threads = 1;
+        Campaign serial = runCampaign(*tu, options);
+        ASSERT_EQ(serial.result.executions, 150);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectSameCampaigns(options, *tu, serial);
+    }
+}
+
+TEST(LookAheadFuzz, PlateauStopsIdenticallyAndDropsSpeculativeRuns)
+{
+    auto tu = program(kHosted);
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        fuzz::FuzzOptions options = lookAheadOptions(seed);
+        options.plateau_minutes = 0.5;
+        options.threads = 1;
+        Campaign serial = runCampaign(*tu, options);
+        ASSERT_LT(serial.result.executions, options.max_executions);
+        ASSERT_GT(serial.result.sim_minutes -
+                      serial.result.last_progress_minutes,
+                  options.plateau_minutes);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectSameCampaigns(options, *tu, serial);
+        // A plateau stop happens only between batches, so every
+        // committed batch was bookkept whole: the host run, the seed
+        // and the executions are all the runs there are — batches
+        // launched ahead of the stop left no count.
+        for (int threads : kThreadCounts) {
+            options.threads = threads;
+            Campaign c = runCampaign(*tu, options);
+            EXPECT_EQ(c.interp_runs, 1 + c.result.executions)
+                << "threads " << threads;
+        }
+    }
+}
+
+TEST(LookAheadFuzz, BudgetStopsIdentically)
+{
+    auto tu = program(kHosted);
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        fuzz::FuzzOptions options = lookAheadOptions(seed);
+        options.budget_minutes = 1.0;
+        options.threads = 1;
+        Campaign serial = runCampaign(*tu, options);
+        ASSERT_LT(serial.result.executions, options.max_executions);
+        ASSERT_GE(serial.result.sim_minutes, options.budget_minutes);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectSameCampaigns(options, *tu, serial);
+    }
+}
+
+/** The fuzz span's counters without the interpreter's run counts. */
+std::map<std::string, int64_t>
+countersWithoutRuns(const RunContext &ctx)
+{
+    std::map<std::string, int64_t> counters =
+        ctx.trace().root().find("fuzz")->counters;
+    for (const char *key :
+         {"interp.runs", "interp.steps", "interp.execs.bytecode"})
+        counters.erase(key);
+    return counters;
+}
+
+TEST(LookAheadFuzz, CancelKeepsTheSerialPrefix)
+{
+    // A cancel lands wherever the host's timing puts it, but it is
+    // checked exactly where the execution cap is: the campaign it cuts
+    // must equal a one-thread campaign capped at the executions it
+    // committed.
+    auto tu = program(kHosted);
+    fuzz::FuzzOptions options = lookAheadOptions(1);
+    options.max_executions = 4000;
+    options.threads = 1;
+    Campaign full = runCampaign(*tu, options);
+    ASSERT_EQ(full.result.executions, options.max_executions);
+
+    for (int threads : kThreadCounts) {
+        fuzz::FuzzOptions cancelled_opts = options;
+        cancelled_opts.threads = threads;
+        RunContext ctx;
+        std::atomic<bool> done{false};
+        std::thread canceller([&] {
+            while (!done.load() &&
+                   ctx.now() < full.result.sim_minutes / 10)
+                std::this_thread::yield();
+            ctx.requestCancel();
+        });
+        Campaign cancelled = runCampaign(*tu, cancelled_opts, ctx);
+        done.store(true);
+        canceller.join();
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ASSERT_LT(cancelled.result.executions, full.result.executions);
+
+        fuzz::FuzzOptions capped_opts = options;
+        capped_opts.max_executions = cancelled.result.executions;
+        RunContext capped_ctx;
+        Campaign capped = runCampaign(*tu, capped_opts, capped_ctx);
+        expectSameFuzz(capped.result, cancelled.result);
+        EXPECT_EQ(countersWithoutRuns(ctx), countersWithoutRuns(capped_ctx));
+        // Unlike a cap, a cancel can land after the loop head let a
+        // batch commit but before its first run was bookkept; that
+        // batch's runs still count, so only then may one more batch
+        // of runs show.
+        const int batch = options.mutations_per_input;
+        int64_t extra = cancelled.interp_runs - capped.interp_runs;
+        bool on_boundary = (cancelled.result.executions - 1) % batch == 0;
+        EXPECT_TRUE(extra == 0 || (on_boundary && extra == batch))
+            << extra << " extra runs at " << cancelled.result.executions
+            << " executions";
+    }
+}
+
+// --- profile invariance ---------------------------------------------------
+
+/** The one-profile serial loop profileUnderSuite fans out. */
+interp::ValueProfile
+serialProfile(RunContext &ctx, const cir::TranslationUnit &tu,
+              const std::string &kernel, const fuzz::TestSuite &suite)
+{
+    interp::ValueProfile profile;
+    interp::Interpreter interp(tu);
+    for (const fuzz::TestCase &test : suite.cases()) {
+        interp::RunOptions opts;
+        opts.profile = &profile;
+        opts.trace = &ctx;
+        interp.run(kernel, test.args, opts);
+    }
+    return profile;
+}
+
+TEST(ParallelProfile, SameProfileAndCountersOnEverySubjectSuite)
+{
+    std::vector<subjects::Subject> all = subjects::allSubjects();
+    for (const subjects::Subject &s : subjects::streamingSubjects())
+        all.push_back(s);
+    for (const subjects::Subject &s : all) {
+        SCOPED_TRACE(s.id);
+        core::HeteroGen hg(s.source);
+        fuzz::FuzzOptions fopts;
+        fopts.host_function = s.host;
+        fopts.rng_seed = s.fuzz_seed;
+        fopts.max_executions = 120;
+        fopts.mutations_per_input = 12;
+        fopts.min_suite_size = 16;
+        fopts.max_steps_per_run = 400000;
+        fopts.threads = 1;
+        fuzz::TestSuite suite =
+            fuzz::fuzzKernel(hg.program(), s.kernel, hg.sema(), fopts)
+                .suite;
+        ASSERT_GT(suite.size(), 0u);
+
+        RunContext serial_ctx;
+        interp::ValueProfile serial;
+        {
+            SpanScope span(serial_ctx, "profile");
+            serial = serialProfile(serial_ctx, hg.program(), s.kernel, suite);
+        }
+        ASSERT_FALSE(serial.ranges().empty());
+        for (int threads : kThreadCounts) {
+            WorkerPool pool(threads);
+            RunContext ctx;
+            interp::ValueProfile parallel;
+            {
+                SpanScope span(ctx, "profile");
+                parallel = core::profileUnderSuite(ctx, hg.program(),
+                                                   s.kernel, suite, &pool);
+            }
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            EXPECT_TRUE(parallel == serial);
+            EXPECT_EQ(ctx.traceJson(), serial_ctx.traceJson());
         }
     }
 }
