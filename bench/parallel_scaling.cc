@@ -18,23 +18,39 @@
  * The executions, suite size and simulated minutes are printed per
  * thread count and must not move.
  *
+ * Small programs: the median host milliseconds per conversion (parse
+ * through repair) of the 11 quick posts of generateForumCorpus(13,
+ * 2022) — all but the loop-heavy ones — at default options, each
+ * conversion with a fresh cache directory, beside the same conversions
+ * on one thread, and the worker threads they started. Their runs stay
+ * under interp::kParallelMinSteps, so they should run inline and start
+ * none. Every report must equal the same conversion's report at one
+ * thread, or the bench exits non-zero.
+ *
+ *   ./bench/parallel_scaling [--out BENCH_parallel.json] [--smoke]
+ *
  * Prints one machine-readable JSON line and writes BENCH_parallel.json
  * (override with --out <path>) with the build type, core count and
- * HETEROGEN_JOBS the numbers were taken under.
+ * HETEROGEN_JOBS the numbers were taken under. --smoke (CI golden job)
+ * runs only the small-program section, each post once per thread
+ * setting, and writes no file.
  */
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "repair/difftest.h"
+#include "subjects/forum_corpus.h"
 #include "support/worker_pool.h"
 
 #ifndef HG_BUILD_TYPE
@@ -94,20 +110,129 @@ measureFuzz(const subjects::Subject &subject, int threads)
     return point;
 }
 
+/** The quick forum posts' conversions at default options. */
+struct SmallPrograms
+{
+    int posts = 0;
+    int conversions = 0; ///< per thread setting
+    double host_ms_p50 = 0;
+    double host_ms_p50_one_thread = 0;
+    uint64_t threads_started = 0; ///< at default options
+    int mismatches = 0;           ///< reports differing from one thread
+};
+
+/** One timed conversion, at default options or on one thread. */
+core::HeteroGenReport
+convertPost(const std::string &source, const std::filesystem::path &cache,
+            bool one_thread, std::vector<double> &host_ms)
+{
+    core::HeteroGenOptions opts;
+    opts.kernel = "kernel";
+    opts.cache_dir = cache.string();
+    if (one_thread) {
+        opts.fuzz.threads = 1;
+        opts.search.eval_threads = 1;
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(cache, ec); // a fresh cache each time
+    auto t0 = std::chrono::steady_clock::now();
+    core::HeteroGen hg(source);
+    core::HeteroGenReport report = hg.run(opts);
+    host_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    return report;
+}
+
+bool
+sameReport(const core::HeteroGenReport &a, const core::HeteroGenReport &b)
+{
+    return a.hls_source == b.hls_source &&
+           a.total_minutes == b.total_minutes &&
+           a.trace_json == b.trace_json && a.ok() == b.ok();
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0 : v[v.size() / 2];
+}
+
+SmallPrograms
+measureSmallPrograms(int reps)
+{
+    namespace fs = std::filesystem;
+    fs::path cache = fs::temp_directory_path() /
+                     ("hg-bench-small-" + std::to_string(::getpid()));
+    SmallPrograms out;
+    std::vector<double> ms, ms_one;
+    for (const subjects::ForumPost &post :
+         subjects::generateForumCorpus(13, 2022)) {
+        if (post.ground_truth == hls::ErrorCategory::LoopParallelization)
+            continue;
+        out.posts += 1;
+        for (int rep = 0; rep < reps; ++rep) {
+            uint64_t started = WorkerPool::threadsStarted();
+            core::HeteroGenReport report =
+                convertPost(post.snippet, cache, false, ms);
+            out.threads_started += WorkerPool::threadsStarted() - started;
+            core::HeteroGenReport one =
+                convertPost(post.snippet, cache, true, ms_one);
+            if (!sameReport(report, one)) {
+                std::fprintf(stderr,
+                             "post %d: report differs from threads=1\n",
+                             post.post_id);
+                out.mismatches += 1;
+            }
+        }
+    }
+    std::error_code ec;
+    fs::remove_all(cache, ec);
+    out.conversions = out.posts * reps;
+    out.host_ms_p50 = median(ms);
+    out.host_ms_p50_one_thread = median(ms_one);
+    std::printf("Small programs: %d quick forum posts x %d, default "
+                "options, fresh cache dir each\n",
+                out.posts, reps);
+    std::printf("host ms/conversion p50 %.3f (one thread %.3f), worker "
+                "threads started %llu, reports differing from one "
+                "thread %d\n\n",
+                out.host_ms_p50, out.host_ms_p50_one_thread,
+                static_cast<unsigned long long>(out.threads_started),
+                out.mismatches);
+    return out;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_parallel.json";
+    bool smoke = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--out" && i + 1 < argc)
             out_path = argv[++i];
         else if (a.rfind("--out=", 0) == 0)
             out_path = a.substr(6);
+        else if (a == "--smoke")
+            smoke = true;
         else
             std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
+    }
+
+    const SmallPrograms small = measureSmallPrograms(smoke ? 1 : 15);
+    if (smoke) {
+        std::printf("{\"bench\":\"parallel_scaling\",\"smoke\":true,"
+                    "\"small_programs\":{\"posts\":%d,"
+                    "\"host_ms_p50\":%.3f,\"threads_started\":%llu,"
+                    "\"mismatches\":%d}}\n",
+                    small.posts, small.host_ms_p50,
+                    static_cast<unsigned long long>(small.threads_started),
+                    small.mismatches);
+        return small.mismatches == 0 ? 0 : 1;
     }
 
     const subjects::Subject &subject = subjects::subjectById("P9");
@@ -203,6 +328,17 @@ main(int argc, char **argv)
                  subject.id.c_str(), tests, sim_minutes[0], sim_minutes[1],
                  sim_minutes[2], sim_minutes[3], memo.hits(),
                  memo.misses());
+    std::fprintf(f,
+                 "  \"small_programs\": {\"posts\": %d, "
+                 "\"conversions\": %d, \"options\": \"default, fresh "
+                 "cache dir each\", \"host_ms_p50\": %.3f, "
+                 "\"host_ms_p50_threads_1\": %.3f, "
+                 "\"worker_threads_started\": %llu, "
+                 "\"reports_differing_from_threads_1\": %d},\n",
+                 small.posts, small.conversions, small.host_ms_p50,
+                 small.host_ms_p50_one_thread,
+                 static_cast<unsigned long long>(small.threads_started),
+                 small.mismatches);
     std::fprintf(f, "  \"fuzz\": [\n");
     for (size_t i = 0; i < fuzz_rows.size(); ++i) {
         const auto &[id, points] = fuzz_rows[i];
@@ -225,5 +361,5 @@ main(int argc, char **argv)
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
-    return 0;
+    return small.mismatches == 0 ? 0 : 1;
 }

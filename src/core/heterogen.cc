@@ -86,12 +86,15 @@ profileUnderSuite(RunContext &ctx, const TranslationUnit &tu,
     const std::vector<fuzz::TestCase> &cases = suite.cases();
     std::vector<interp::ValueProfile> locals(cases.size());
     interp::Interpreter interp(tu);
-    parallelForEach(pool, cases.size(), [&](size_t i) {
-        interp::RunOptions opts;
-        opts.profile = &locals[i];
-        opts.trace = &ctx;
-        interp.run(kernel, cases[i].args, opts);
-    });
+    parallelForEach(
+        pool, cases.size(),
+        [&](size_t i) {
+            interp::RunOptions opts;
+            opts.profile = &locals[i];
+            opts.trace = &ctx;
+            return interp.run(kernel, cases[i].args, opts).steps;
+        },
+        interp::inlineRunsBelow(suite.maxRunSteps()));
     interp::ValueProfile profile;
     for (const interp::ValueProfile &local : locals)
         profile.merge(local);

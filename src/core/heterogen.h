@@ -183,8 +183,11 @@ class HeteroGen
 /**
  * Profile the program's value ranges by running every test in the suite
  * (used for initial HLS version generation). The runs fan out over
- * `pool` (null = serially inline); the profile and the interp.*
- * counters bumped on the context are the same at any thread count.
+ * `pool` (null = serially inline), except that when the suite's fuzz
+ * campaign saw no run of interp::kParallelMinSteps steps
+ * (TestSuite::maxRunSteps) they run inline until one takes that many.
+ * The profile and the interp.* counters bumped on the context are the
+ * same at any thread count and on either path.
  */
 interp::ValueProfile
 profileUnderSuite(RunContext &ctx, const cir::TranslationUnit &tu,

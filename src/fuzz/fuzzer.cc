@@ -179,6 +179,7 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
     auto bookkeep = [&](const std::vector<KernelArg> &args,
                         const CoverageMap &local, const RunResult &run) {
         result.executions += 1;
+        result.suite.noteRunSteps(run.steps);
         ctx.count("fuzz.executions");
         ctx.charge(executionMinutes(run));
         if (result.coverage.coversNew(local)) {
@@ -191,6 +192,11 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
             result.suite.add(args);
         }
     };
+
+    // Kernel runs stay on this thread until one takes
+    // kParallelMinSteps: the seed run sets the starting mode, and the
+    // first heavy run switches to the pool for good.
+    bool inline_runs = true;
 
     // The seed itself is always executed and retained.
     {
@@ -207,7 +213,29 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         mergeCoverage(local);
         result.last_progress_minutes = span.minutes();
         result.suite.add(seed);
+        result.suite.noteRunSteps(run.steps);
+        inline_runs = run.steps < interp::kParallelMinSteps;
     }
+
+    /**
+     * Run variant i of a batch into its private slots, on whichever
+     * thread calls it. Runs are not counted on the trace here —
+     * commit() does that — so a batch launched ahead and then dropped
+     * leaves none.
+     */
+    auto execute = [&interp, &kernel, &options](Batch &b, size_t i) {
+        try {
+            RunOptions opts;
+            opts.coverage = &b.locals[i];
+            opts.max_steps = options.max_steps_per_run;
+            opts.engine = options.engine;
+            b.runs[i] = interp.run(kernel, b.variants[i], opts);
+            // Only the clock and counters read a batch's runs.
+            b.runs[i].out_args.clear();
+        } catch (...) {
+            b.errors[i] = std::current_exception();
+        }
+    };
 
     // Launched, not yet committed batches in input order, and their
     // total run count.
@@ -215,10 +243,9 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
     size_t in_flight_runs = 0;
 
     /**
-     * Launch the mutation batch of the queue's front input: its kernel
-     * runs fan out across the pool into private per-variant coverage
-     * maps. Runs are not counted on the trace here — commit() does
-     * that — so a batch launched ahead and then dropped leaves none.
+     * Launch the mutation batch of the queue's front input into private
+     * per-variant coverage maps: inline while runs stay light, then
+     * across the pool from the first heavy run on.
      */
     auto launch = [&] {
         auto batch = std::make_unique<Batch>(pool);
@@ -230,21 +257,13 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         b.locals.assign(n, CoverageMap(result.coverage.numBranches()));
         b.runs.resize(n);
         b.errors.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            b.group.run([&b, i, &interp, &kernel, &options] {
-                try {
-                    RunOptions opts;
-                    opts.coverage = &b.locals[i];
-                    opts.max_steps = options.max_steps_per_run;
-                    opts.engine = options.engine;
-                    b.runs[i] = interp.run(kernel, b.variants[i], opts);
-                    // Only the clock and counters read a batch's runs.
-                    b.runs[i].out_args.clear();
-                } catch (...) {
-                    b.errors[i] = std::current_exception();
-                }
-            });
+        size_t i = 0;
+        while (inline_runs && i < n) {
+            execute(b, i);
+            inline_runs = b.runs[i++].steps < interp::kParallelMinSteps;
         }
+        for (; i < n; ++i)
+            b.group.run([execute, &b, i] { execute(b, i); });
         in_flight_runs += n;
         in_flight.push_back(std::move(batch));
     };
@@ -283,9 +302,10 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
     // remain behind the one being committed, the next inputs are
     // already fixed: launch their batches ahead (mutating in queue
     // order keeps the RNG draws identical) unless the serial loop would
-    // not reach them before the execution cap. A one-thread pool runs
-    // tasks inline, so there it launches nothing ahead.
-    const size_t look_ahead = pool->threads() > 1 ? kLookAheadBatches : 0;
+    // not reach them before the execution cap. Batches run inline while
+    // runs are light, and a one-thread pool runs tasks inline; launched
+    // ahead there, they would only run serially and be wasted at a
+    // plateau or cap stop, so neither launches anything ahead.
     while ((!in_flight.empty() || !queue.empty()) &&
            result.executions < options.max_executions &&
            !ctx.shouldStop()) {
@@ -295,6 +315,9 @@ fuzzKernel(RunContext &ctx, const cir::TranslationUnit &tu,
         }
         if (in_flight.empty())
             launch();
+        const size_t look_ahead = pool->threads() > 1 && !inline_runs
+                                      ? kLookAheadBatches
+                                      : 0;
         while (in_flight.size() <= look_ahead && !queue.empty() &&
                result.executions + in_flight_runs <
                    size_t(options.max_executions)) {

@@ -66,18 +66,24 @@ struct FuzzOptions
     /**
      * Host threads executing the mutation batches when `pool` is unset
      * (0 = HETEROGEN_JOBS / hardware default). Purely an execution
-     * detail: on more than one thread, up to three batches whose inputs
-     * are already fixed run ahead of the one being reduced, but mutation
-     * drawing and corpus bookkeeping stay serial in input order, so the
-     * final corpus, coverage, simulated clock and trace are
-     * byte-identical at any thread count (tests/test_parallel.cc
-     * asserts this). One thread runs one batch at a time.
+     * detail. Kernel runs stay inline on the calling thread, one batch
+     * at a time, while the seed run and every run since took fewer than
+     * interp::kParallelMinSteps steps; from the first run that takes as
+     * many, the rest of its batch and every later batch go to the pool,
+     * where up to three batches whose inputs are already fixed run
+     * ahead of the one being reduced. Mutation drawing and corpus
+     * bookkeeping stay serial in input order either way, so the final
+     * corpus, coverage, simulated clock and trace are byte-identical at
+     * any thread count (tests/test_parallel.cc asserts this). One
+     * thread runs one batch at a time.
      */
     int threads = 0;
     /**
      * Shared host pool for the execution batches (non-owning; overrides
      * `threads` when set). HeteroGen::run always sets it, sharing one
-     * pool between the fuzz and profile stages. Batch waits are per
+     * pool between the fuzz and profile stages; a campaign whose runs
+     * all stay light never submits to it, so its threads never start
+     * (WorkerPool starts them on the first submit). Batch waits are per
      * batch, so many concurrent campaigns — the conversion service's
      * jobs — may share one pool without changing any campaign's outcome.
      */

@@ -6,6 +6,8 @@
 #ifndef HETEROGEN_FUZZ_TESTSUITE_H
 #define HETEROGEN_FUZZ_TESTSUITE_H
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,21 @@ class TestSuite
 
     const TestCase &operator[](size_t i) const { return cases_[i]; }
 
+    /**
+     * Most interpreter steps any committed run took while a fuzz
+     * campaign built this suite (0 for a suite built by hand). The
+     * profile and difftest stages start their runs inline when it is
+     * below interp::kParallelMinSteps; it never changes a result.
+     */
+    uint64_t maxRunSteps() const { return max_run_steps_; }
+    void noteRunSteps(uint64_t steps)
+    {
+        max_run_steps_ = std::max(max_run_steps_, steps);
+    }
+
   private:
     std::vector<TestCase> cases_;
+    uint64_t max_run_steps_ = 0;
 };
 
 } // namespace heterogen::fuzz

@@ -185,6 +185,27 @@ struct RunResult
 void countRun(RunContext &trace, const RunResult &result);
 
 /**
+ * Steps at which one run pays for its handoff to a pool thread. The
+ * fan-out sites (fuzz batches, the profile stage, difftest) run work
+ * inline on the calling thread while every run so far took fewer steps,
+ * and hand the rest to the pool from the first run that takes as many:
+ * below it, waking a worker and collecting its result cost more host
+ * time than the run. Where a run executes never changes its result.
+ */
+constexpr uint64_t kParallelMinSteps = 2000;
+
+/**
+ * parallelForEach's `inline_below` for runs of a program whose heaviest
+ * run seen so far took `max_steps`: start inline only while that is
+ * light, and hand off from the first run of kParallelMinSteps steps.
+ */
+constexpr uint64_t
+inlineRunsBelow(uint64_t max_steps)
+{
+    return max_steps < kParallelMinSteps ? kParallelMinSteps : 0;
+}
+
+/**
  * Interpreter facade bound to one translation unit.
  *
  * Each call to run() executes with fresh memory and fresh globals; struct

@@ -46,19 +46,24 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
     // interpreter is shared so the bytecode engine compiles it once.
     interp::Interpreter cpu_interp(original);
     std::vector<TestRecord> records(static_cast<size_t>(limit));
-    parallelForEach(options.pool, records.size(), [&](size_t i) {
-        const fuzz::TestCase &test = suite[i];
-        TestRecord &rec = records[i];
-        RunOptions opts;
-        opts.trace = ctx;
-        RunResult cpu = cpu_interp.run(original_kernel, test.args, opts);
-        hls::FpgaRunResult fpga = hls::simulateFpga(
-            candidate, config, config.top_function, test.args, opts);
-        rec.steps = cpu.steps + fpga.run.steps;
-        rec.cpu_ms = cpu.cpuMillis();
-        rec.fpga_ms = fpga.millis;
-        rec.identical = cpu.sameBehavior(fpga.run);
-    });
+    parallelForEach(
+        options.pool, records.size(),
+        [&](size_t i) {
+            const fuzz::TestCase &test = suite[i];
+            TestRecord &rec = records[i];
+            RunOptions opts;
+            opts.trace = ctx;
+            RunResult cpu =
+                cpu_interp.run(original_kernel, test.args, opts);
+            hls::FpgaRunResult fpga = hls::simulateFpga(
+                candidate, config, config.top_function, test.args, opts);
+            rec.steps = cpu.steps + fpga.run.steps;
+            rec.cpu_ms = cpu.cpuMillis();
+            rec.fpga_ms = fpga.millis;
+            rec.identical = cpu.sameBehavior(fpga.run);
+            return rec.steps;
+        },
+        interp::inlineRunsBelow(suite.maxRunSteps()));
 
     // Reduce phase, serial and in input order: float accumulation and
     // the failing list come out identical at any pool size.

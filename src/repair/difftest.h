@@ -43,6 +43,10 @@ struct DiffTestOptions
     /**
      * Pool executing the tests on the host (nullptr = serial). Purely
      * an execution detail: results are invariant to the pool size.
+     * When the suite's fuzz campaign saw no run of
+     * interp::kParallelMinSteps steps (TestSuite::maxRunSteps), tests
+     * run inline until one, counting both sides' steps, takes that
+     * many; the rest go to the pool.
      */
     WorkerPool *pool = nullptr;
 };

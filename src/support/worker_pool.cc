@@ -1,10 +1,17 @@
 #include "support/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "support/env.h"
 
 namespace heterogen {
+
+namespace {
+
+std::atomic<uint64_t> threads_started{0};
+
+} // namespace
 
 int
 resolveJobs(int requested)
@@ -21,12 +28,9 @@ resolveJobs(int requested)
 }
 
 WorkerPool::WorkerPool(int threads, size_t queue_capacity)
-    : capacity_(std::max<size_t>(queue_capacity, 1))
+    : threads_(resolveJobs(threads)),
+      capacity_(std::max<size_t>(queue_capacity, 1))
 {
-    int n = resolveJobs(threads);
-    workers_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
 }
 
 WorkerPool::~WorkerPool()
@@ -40,9 +44,21 @@ WorkerPool::~WorkerPool()
         w.join();
 }
 
+uint64_t
+WorkerPool::threadsStarted()
+{
+    return threads_started.load();
+}
+
 void
 WorkerPool::submit(std::function<void()> job)
 {
+    std::call_once(start_, [this] {
+        workers_.reserve(static_cast<size_t>(threads_));
+        for (int i = 0; i < threads_; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+        threads_started += static_cast<uint64_t>(threads_);
+    });
     {
         std::unique_lock<std::mutex> lock(mu_);
         job_space_.wait(lock,
@@ -122,26 +138,26 @@ TaskGroup::wait()
 
 void
 parallelForEach(WorkerPool *pool, size_t n,
-                const std::function<void(size_t)> &fn)
+                const std::function<uint64_t(size_t)> &fn,
+                uint64_t inline_below)
 {
-    if (!pool || pool->threads() <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
     // Every job runs to completion and the lowest-index exception wins,
     // so reruns at any thread count surface the same error.
     std::vector<std::exception_ptr> errors(n);
+    auto run = [&](size_t i) -> uint64_t {
+        try {
+            return fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+            return 0;
+        }
+    };
+    size_t next = 0;
+    for (bool cheap = inline_below > 0; cheap && next < n; ++next)
+        cheap = run(next) < inline_below;
     TaskGroup group(pool);
-    for (size_t i = 0; i < n; ++i) {
-        group.run([&, i] {
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
+    for (; next < n; ++next)
+        group.run([&run, next] { run(next); });
     group.wait();
     for (size_t i = 0; i < n; ++i) {
         if (errors[i])

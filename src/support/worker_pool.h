@@ -2,12 +2,15 @@
  * @file
  * Fixed-size worker pool with a bounded work queue.
  *
- * The pool executes opaque jobs on a fixed set of threads; submission
- * blocks once the queue holds `queueCapacity()` pending jobs, so a fast
- * producer cannot accumulate unbounded memory. parallelForEach() is the
- * high-level entry the hot paths use: it fans N index-addressed jobs out
- * over the pool and returns when all have finished, rethrowing the first
- * job exception in submission order.
+ * The pool executes opaque jobs on a fixed set of threads, started on
+ * the first submit(): a pool that is never handed work starts and joins
+ * no thread. Submission blocks once the queue holds `queueCapacity()`
+ * pending jobs, so a fast producer cannot accumulate unbounded memory.
+ * parallelForEach() is the high-level entry the hot paths use: it fans N
+ * index-addressed jobs out over the pool and returns when all have
+ * finished, rethrowing the first job exception in submission order. It
+ * keeps jobs that report a small cost on the calling thread, where a
+ * handoff would cost more than the job.
  *
  * Determinism contract: the pool itself never reorders *results* — jobs
  * must write only to their own output slot (index i of a pre-sized
@@ -22,6 +25,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -39,7 +43,11 @@ namespace heterogen {
  */
 int resolveJobs(int requested);
 
-/** A fixed set of worker threads draining a bounded job queue. */
+/**
+ * A fixed set of worker threads draining a bounded job queue. The
+ * threads start together on the first submit() and are joined by the
+ * destructor; until then the pool holds none.
+ */
 class WorkerPool
 {
   public:
@@ -47,6 +55,7 @@ class WorkerPool
      * @param threads  worker count; <= 0 resolves via resolveJobs().
      *                 A pool of one thread still runs jobs on that
      *                 worker, never inline on the submitting thread.
+     *                 No thread starts before the first submit().
      * @param queue_capacity  max pending (not yet started) jobs before
      *                        submit() blocks.
      */
@@ -56,19 +65,31 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Enqueue one job; blocks while the queue is full. */
+    /**
+     * Enqueue one job; blocks while the queue is full. The first call
+     * starts the worker threads.
+     */
     void submit(std::function<void()> job);
 
     /** Block until every submitted job has finished. */
     void wait();
 
-    int threads() const { return static_cast<int>(workers_.size()); }
+    /** The configured worker count, whether or not they started yet. */
+    int threads() const { return threads_; }
     size_t queueCapacity() const { return capacity_; }
+
+    /**
+     * Worker threads started by every pool of the process so far: a
+     * run that never handed a pool work leaves it unchanged.
+     */
+    static uint64_t threadsStarted();
 
   private:
     void workerLoop();
 
-    std::vector<std::thread> workers_;
+    int threads_;
+    std::once_flag start_;
+    std::vector<std::thread> workers_; ///< written once, under start_
     std::deque<std::function<void()>> queue_;
     size_t capacity_;
     size_t in_flight_ = 0; ///< queued + currently executing
@@ -115,14 +136,20 @@ class TaskGroup
 /**
  * Run fn(0) .. fn(n-1) across the pool and wait for completion.
  *
- * fn must confine its writes to per-index state; the first exception
- * (lowest index) is rethrown on the calling thread after all jobs
- * finish. With a null pool, runs serially inline. Waiting is per-call
- * (a TaskGroup), so concurrent parallelForEach calls may safely share
- * one pool.
+ * fn must confine its writes to per-index state and returns its job's
+ * cost. Jobs too small to hand off stay on the calling thread: they run
+ * there, in order, while every cost so far is below `inline_below` (0:
+ * none do), and the first job whose cost reaches it hands all later
+ * ones to the pool. A throwing job counts as cheap. Every job runs, and
+ * the first exception (lowest index) is rethrown on the calling thread
+ * after all finish, so the outcome never depends on where a job ran.
+ * With a null pool, runs serially inline. Waiting is per-call (a
+ * TaskGroup), so concurrent parallelForEach calls may safely share one
+ * pool.
  */
 void parallelForEach(WorkerPool *pool, size_t n,
-                     const std::function<void(size_t)> &fn);
+                     const std::function<uint64_t(size_t)> &fn,
+                     uint64_t inline_below = 0);
 
 } // namespace heterogen
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "core/heterogen.h"
 #include "fuzz/fuzzer.h"
 #include "repair/difftest.h"
+#include "subjects/forum_corpus.h"
 #include "subjects/subjects.h"
 #include "support/run_context.h"
 #include "support/worker_pool.h"
@@ -80,13 +82,63 @@ TEST(WorkerPool, WaitIsReusableAcrossBatches)
     }
 }
 
+/** Live threads of this process, read from /proc/self/task. */
+size_t
+liveThreads()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        n += 1;
+    return n;
+}
+
+TEST(WorkerPool, StartsNoThreadBeforeFirstSubmit)
+{
+    size_t before = liveThreads();
+    uint64_t started = WorkerPool::threadsStarted();
+    WorkerPool pool(4);
+    EXPECT_EQ(pool.threads(), 4);
+    EXPECT_EQ(liveThreads(), before);
+    EXPECT_EQ(WorkerPool::threadsStarted(), started);
+    pool.wait(); // nothing submitted: returns at once
+
+    std::atomic<int> count{0};
+    pool.submit([&count] { count += 1; });
+    pool.wait();
+    EXPECT_EQ(count.load(), 1);
+    EXPECT_EQ(liveThreads(), before + 4);
+    EXPECT_EQ(WorkerPool::threadsStarted(), started + 4);
+    // Later submits reuse the same threads.
+    for (int i = 0; i < 20; ++i)
+        pool.submit([&count] { count += 1; });
+    pool.wait();
+    EXPECT_EQ(count.load(), 21);
+    EXPECT_EQ(WorkerPool::threadsStarted(), started + 4);
+}
+
+TEST(WorkerPool, UnusedPoolIsDestroyedCleanly)
+{
+    size_t before = liveThreads();
+    uint64_t started = WorkerPool::threadsStarted();
+    for (int threads : kThreadCounts) {
+        WorkerPool pool(threads);
+        EXPECT_EQ(pool.threads(), threads);
+        TaskGroup group(&pool); // an empty group waits for nothing
+    }
+    EXPECT_EQ(liveThreads(), before);
+    EXPECT_EQ(WorkerPool::threadsStarted(), started);
+}
+
 TEST(ParallelForEach, VisitsEachIndexExactlyOnce)
 {
     for (int threads : kThreadCounts) {
         WorkerPool pool(threads);
         std::vector<int> visits(257, 0);
-        parallelForEach(&pool, visits.size(),
-                        [&](size_t i) { visits[i] += 1; });
+        parallelForEach(&pool, visits.size(), [&](size_t i) {
+            visits[i] += 1;
+            return uint64_t{0};
+        });
         EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0), 257);
         for (int v : visits)
             EXPECT_EQ(v, 1);
@@ -96,8 +148,10 @@ TEST(ParallelForEach, VisitsEachIndexExactlyOnce)
 TEST(ParallelForEach, NullPoolRunsInline)
 {
     std::vector<int> visits(10, 0);
-    parallelForEach(nullptr, visits.size(),
-                    [&](size_t i) { visits[i] += 1; });
+    parallelForEach(nullptr, visits.size(), [&](size_t i) {
+        visits[i] += 1;
+        return uint64_t{0};
+    });
     for (int v : visits)
         EXPECT_EQ(v, 1);
 }
@@ -109,10 +163,105 @@ TEST(ParallelForEach, RethrowsLowestIndexException)
         parallelForEach(&pool, 16, [&](size_t i) {
             if (i == 3 || i == 11)
                 throw std::runtime_error("boom " + std::to_string(i));
+            return uint64_t{0};
         });
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "boom 3");
+    }
+}
+
+TEST(ParallelForEach, RunsInlineUntilTheFirstCostlyJob)
+{
+    // Jobs 0-4 are cheap and run on the calling thread; job 5 is costly
+    // and also runs there, but hands every later job to the pool.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int threads : kThreadCounts) {
+        WorkerPool pool(threads);
+        std::vector<int> visits(16, 0);
+        std::vector<std::thread::id> ran_on(16);
+        parallelForEach(
+            &pool, visits.size(),
+            [&](size_t i) {
+                visits[i] += 1;
+                ran_on[i] = std::this_thread::get_id();
+                return i == 5 ? uint64_t{100} : 1;
+            },
+            100);
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        for (int v : visits)
+            EXPECT_EQ(v, 1);
+        for (size_t i = 0; i <= 5; ++i)
+            EXPECT_EQ(ran_on[i], caller) << "job " << i;
+        // A one-thread pool runs its tasks inline (TaskGroup).
+        for (size_t i = 6; threads > 1 && i < visits.size(); ++i)
+            EXPECT_NE(ran_on[i], caller) << "job " << i;
+    }
+}
+
+TEST(ParallelForEach, CheapJobsStartNoThread)
+{
+    uint64_t started = WorkerPool::threadsStarted();
+    WorkerPool pool(4);
+    std::vector<int> visits(32, 0);
+    parallelForEach(
+        &pool, visits.size(),
+        [&](size_t i) {
+            visits[i] += 1;
+            return uint64_t{99};
+        },
+        100);
+    for (int v : visits)
+        EXPECT_EQ(v, 1);
+    EXPECT_EQ(WorkerPool::threadsStarted(), started);
+}
+
+TEST(ParallelForEach, LowestIndexExceptionWinsInlineAndPooled)
+{
+    // Costly job `switch_at` splits the jobs into an inline prefix and
+    // a pooled rest; wherever the throwing jobs fall, every job runs and
+    // the lowest-index exception surfaces.
+    struct Case
+    {
+        uint64_t inline_below;
+        size_t switch_at;
+        std::vector<size_t> throwing;
+        const char *expected;
+    };
+    const Case cases[] = {
+        {100, 5, {3, 11}, "boom 3"}, // inline and pooled throw
+        {100, 5, {11, 3}, "boom 3"}, // listed out of order
+        {100, 1, {7, 12}, "boom 7"}, // pooled only
+        {100, 15, {2, 9}, "boom 2"}, // inline only
+        {100, 3, {3, 4}, "boom 3"},  // a throw counts as cheap
+        {0, 0, {3, 11}, "boom 3"},   // pooled from the start
+    };
+    for (const Case &c : cases) {
+        for (int threads : kThreadCounts) {
+            WorkerPool pool(threads);
+            std::vector<std::atomic<int>> visits(16);
+            SCOPED_TRACE("switch at " + std::to_string(c.switch_at) +
+                         ", threads " + std::to_string(threads));
+            try {
+                parallelForEach(
+                    &pool, visits.size(),
+                    [&](size_t i) {
+                        visits[i] += 1;
+                        for (size_t t : c.throwing) {
+                            if (i == t)
+                                throw std::runtime_error(
+                                    "boom " + std::to_string(i));
+                        }
+                        return i == c.switch_at ? uint64_t{100} : 1;
+                    },
+                    c.inline_below);
+                ADD_FAILURE() << "expected an exception";
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), c.expected);
+            }
+            for (const std::atomic<int> &v : visits)
+                EXPECT_EQ(v.load(), 1);
+        }
     }
 }
 
@@ -255,6 +404,7 @@ expectSameFuzz(const fuzz::FuzzResult &a, const fuzz::FuzzResult &b)
     EXPECT_EQ(a.last_progress_minutes, b.last_progress_minutes);
     EXPECT_EQ(a.coverage.hitCount(), b.coverage.hitCount());
     EXPECT_EQ(a.coverage.coverage(), b.coverage.coverage());
+    EXPECT_EQ(a.suite.maxRunSteps(), b.suite.maxRunSteps());
     ASSERT_EQ(a.suite.size(), b.suite.size());
     for (size_t i = 0; i < a.suite.size(); ++i) {
         EXPECT_EQ(a.suite[i].args, b.suite[i].args)
@@ -321,6 +471,72 @@ const char *kHosted = R"(
     }
 )";
 
+/** kHosted's branches sixteen times over: every run is heavy. */
+const char *kHeavyHosted = R"(
+    int kernel(int a[8], int n) {
+        int acc = 0;
+        for (int r = 0; r < 16; r++) {
+            for (int i = 0; i < 8; i++) {
+                if (a[i] > 64) { acc += a[i] * 2; }
+                else if (a[i] < -10) { acc -= a[i]; }
+                else { acc += i; }
+            }
+        }
+        int j = 0;
+        while (j < n % 7) { acc += j * j; j++; }
+        return acc;
+    }
+    int host() {
+        int a[8];
+        for (int i = 0; i < 8; i++) { a[i] = i * 3; }
+        return kernel(a, 5);
+    }
+)";
+
+/**
+ * Heavy-tailed, like the forum's `for (i < n) tmp += i` posts: the
+ * host's seed is light, and mutated inputs with a large `n` are heavy.
+ */
+const char *kHeavyTailed = R"(
+    int kernel(int a[8], int n) {
+        int acc = 0;
+        for (int i = 0; i < 8; i++) {
+            if (a[i] > 64) { acc += a[i] * 2; }
+            else if (a[i] < -10) { acc -= a[i]; }
+            else { acc += i; }
+        }
+        int tmp = 0;
+        for (int i = 0; i < n % 512; i++) { tmp += i; }
+        return acc + tmp;
+    }
+    int host() {
+        int a[8];
+        for (int i = 0; i < 8; i++) { a[i] = i * 3; }
+        return kernel(a, 5);
+    }
+)";
+
+/** Where a campaign's kernel runs execute. */
+enum class RunPath
+{
+    Inline,   ///< every run is light: all stay on the calling thread
+    Pool,     ///< the seed run is heavy: batches go to the pool
+    Switches, ///< light until a mutated input proves heavy
+};
+
+struct HostedProgram
+{
+    const char *name;
+    const char *source;
+    RunPath path;
+};
+
+const HostedProgram kHostedPrograms[] = {
+    {"light", kHosted, RunPath::Inline},
+    {"heavy", kHeavyHosted, RunPath::Pool},
+    {"heavy-tailed", kHeavyTailed, RunPath::Switches},
+};
+
 Campaign
 runCampaign(cir::TranslationUnit &tu, const fuzz::FuzzOptions &options,
             RunContext &ctx)
@@ -355,73 +571,123 @@ lookAheadOptions(uint64_t seed)
     return options;
 }
 
+/**
+ * The campaign at every thread count equals the one-thread `serial`,
+ * and hands runs to its pool (starting its threads) exactly when it
+ * meets a heavy run.
+ */
 void
 expectSameCampaigns(const fuzz::FuzzOptions &base, cir::TranslationUnit &tu,
-                    const Campaign &serial)
+                    const Campaign &serial, RunPath path)
 {
     for (int threads : kThreadCounts) {
         fuzz::FuzzOptions options = base;
         options.threads = threads;
+        uint64_t started = WorkerPool::threadsStarted();
         Campaign c = runCampaign(tu, options);
         SCOPED_TRACE("threads " + std::to_string(threads));
         expectSameFuzz(serial.result, c.result);
         EXPECT_EQ(c.trace_json, serial.trace_json);
+        // A one-thread pool runs its tasks inline (TaskGroup).
+        if (threads > 1)
+            EXPECT_EQ(WorkerPool::threadsStarted() > started,
+                      path != RunPath::Inline);
+    }
+}
+
+/** Check that a campaign took the path its program is meant to take. */
+void
+expectRunPath(const cir::TranslationUnit &tu,
+              const fuzz::FuzzOptions &options,
+              const fuzz::FuzzResult &result, RunPath path)
+{
+    interp::Interpreter interp(tu);
+    interp::RunOptions opts;
+    opts.max_steps = options.max_steps_per_run;
+    // The seed is always the suite's first case.
+    uint64_t seed_steps =
+        interp.run("kernel", result.suite[0].args, opts).steps;
+    uint64_t max_steps = result.suite.maxRunSteps();
+    EXPECT_GE(max_steps, seed_steps);
+    switch (path) {
+      case RunPath::Inline:
+        EXPECT_LT(max_steps, interp::kParallelMinSteps);
+        break;
+      case RunPath::Pool:
+        EXPECT_GE(seed_steps, interp::kParallelMinSteps);
+        break;
+      case RunPath::Switches:
+        EXPECT_LT(seed_steps, interp::kParallelMinSteps);
+        EXPECT_GE(max_steps, interp::kParallelMinSteps);
+        break;
     }
 }
 
 TEST(LookAheadFuzz, CapReachedMidBatchStopsIdentically)
 {
-    auto tu = program(kHosted);
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-        fuzz::FuzzOptions options = lookAheadOptions(seed);
-        options.max_executions = 150; // the seed + 18 batches + 5 runs
-        options.threads = 1;
-        Campaign serial = runCampaign(*tu, options);
-        ASSERT_EQ(serial.result.executions, 150);
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSameCampaigns(options, *tu, serial);
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto tu = program(hp.source);
+        for (uint64_t seed = 1; seed <= 5; ++seed) {
+            fuzz::FuzzOptions options = lookAheadOptions(seed);
+            options.max_executions = 150; // the seed + 18 batches + 5 runs
+            options.threads = 1;
+            Campaign serial = runCampaign(*tu, options);
+            ASSERT_EQ(serial.result.executions, 150);
+            SCOPED_TRACE("seed " + std::to_string(seed));
+            expectRunPath(*tu, options, serial.result, hp.path);
+            expectSameCampaigns(options, *tu, serial, hp.path);
+        }
     }
 }
 
 TEST(LookAheadFuzz, PlateauStopsIdenticallyAndDropsSpeculativeRuns)
 {
-    auto tu = program(kHosted);
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-        fuzz::FuzzOptions options = lookAheadOptions(seed);
-        options.plateau_minutes = 0.5;
-        options.threads = 1;
-        Campaign serial = runCampaign(*tu, options);
-        ASSERT_LT(serial.result.executions, options.max_executions);
-        ASSERT_GT(serial.result.sim_minutes -
-                      serial.result.last_progress_minutes,
-                  options.plateau_minutes);
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSameCampaigns(options, *tu, serial);
-        // A plateau stop happens only between batches, so every
-        // committed batch was bookkept whole: the host run, the seed
-        // and the executions are all the runs there are — batches
-        // launched ahead of the stop left no count.
-        for (int threads : kThreadCounts) {
-            options.threads = threads;
-            Campaign c = runCampaign(*tu, options);
-            EXPECT_EQ(c.interp_runs, 1 + c.result.executions)
-                << "threads " << threads;
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto tu = program(hp.source);
+        for (uint64_t seed = 1; seed <= 5; ++seed) {
+            fuzz::FuzzOptions options = lookAheadOptions(seed);
+            options.plateau_minutes = 0.5;
+            options.threads = 1;
+            Campaign serial = runCampaign(*tu, options);
+            ASSERT_LT(serial.result.executions, options.max_executions);
+            ASSERT_GT(serial.result.sim_minutes -
+                          serial.result.last_progress_minutes,
+                      options.plateau_minutes);
+            SCOPED_TRACE("seed " + std::to_string(seed));
+            expectRunPath(*tu, options, serial.result, hp.path);
+            expectSameCampaigns(options, *tu, serial, hp.path);
+            // A plateau stop happens only between batches, so every
+            // committed batch was bookkept whole: the host run, the
+            // seed and the executions are all the runs there are —
+            // batches launched ahead of the stop left no count.
+            for (int threads : kThreadCounts) {
+                options.threads = threads;
+                Campaign c = runCampaign(*tu, options);
+                EXPECT_EQ(c.interp_runs, 1 + c.result.executions)
+                    << "threads " << threads;
+            }
         }
     }
 }
 
 TEST(LookAheadFuzz, BudgetStopsIdentically)
 {
-    auto tu = program(kHosted);
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-        fuzz::FuzzOptions options = lookAheadOptions(seed);
-        options.budget_minutes = 1.0;
-        options.threads = 1;
-        Campaign serial = runCampaign(*tu, options);
-        ASSERT_LT(serial.result.executions, options.max_executions);
-        ASSERT_GE(serial.result.sim_minutes, options.budget_minutes);
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSameCampaigns(options, *tu, serial);
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto tu = program(hp.source);
+        for (uint64_t seed = 1; seed <= 5; ++seed) {
+            fuzz::FuzzOptions options = lookAheadOptions(seed);
+            options.budget_minutes = 1.0;
+            options.threads = 1;
+            Campaign serial = runCampaign(*tu, options);
+            ASSERT_LT(serial.result.executions, options.max_executions);
+            ASSERT_GE(serial.result.sim_minutes, options.budget_minutes);
+            SCOPED_TRACE("seed " + std::to_string(seed));
+            expectRunPath(*tu, options, serial.result, hp.path);
+            expectSameCampaigns(options, *tu, serial, hp.path);
+        }
     }
 }
 
@@ -443,46 +709,52 @@ TEST(LookAheadFuzz, CancelKeepsTheSerialPrefix)
     // checked exactly where the execution cap is: the campaign it cuts
     // must equal a one-thread campaign capped at the executions it
     // committed.
-    auto tu = program(kHosted);
-    fuzz::FuzzOptions options = lookAheadOptions(1);
-    options.max_executions = 4000;
-    options.threads = 1;
-    Campaign full = runCampaign(*tu, options);
-    ASSERT_EQ(full.result.executions, options.max_executions);
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto tu = program(hp.source);
+        fuzz::FuzzOptions options = lookAheadOptions(1);
+        options.max_executions = 4000;
+        options.threads = 1;
+        Campaign full = runCampaign(*tu, options);
+        ASSERT_EQ(full.result.executions, options.max_executions);
+        expectRunPath(*tu, options, full.result, hp.path);
 
-    for (int threads : kThreadCounts) {
-        fuzz::FuzzOptions cancelled_opts = options;
-        cancelled_opts.threads = threads;
-        RunContext ctx;
-        std::atomic<bool> done{false};
-        std::thread canceller([&] {
-            while (!done.load() &&
-                   ctx.now() < full.result.sim_minutes / 10)
-                std::this_thread::yield();
-            ctx.requestCancel();
-        });
-        Campaign cancelled = runCampaign(*tu, cancelled_opts, ctx);
-        done.store(true);
-        canceller.join();
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        ASSERT_LT(cancelled.result.executions, full.result.executions);
+        for (int threads : kThreadCounts) {
+            fuzz::FuzzOptions cancelled_opts = options;
+            cancelled_opts.threads = threads;
+            RunContext ctx;
+            std::atomic<bool> done{false};
+            std::thread canceller([&] {
+                while (!done.load() &&
+                       ctx.now() < full.result.sim_minutes / 10)
+                    std::this_thread::yield();
+                ctx.requestCancel();
+            });
+            Campaign cancelled = runCampaign(*tu, cancelled_opts, ctx);
+            done.store(true);
+            canceller.join();
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            ASSERT_LT(cancelled.result.executions, full.result.executions);
 
-        fuzz::FuzzOptions capped_opts = options;
-        capped_opts.max_executions = cancelled.result.executions;
-        RunContext capped_ctx;
-        Campaign capped = runCampaign(*tu, capped_opts, capped_ctx);
-        expectSameFuzz(capped.result, cancelled.result);
-        EXPECT_EQ(countersWithoutRuns(ctx), countersWithoutRuns(capped_ctx));
-        // Unlike a cap, a cancel can land after the loop head let a
-        // batch commit but before its first run was bookkept; that
-        // batch's runs still count, so only then may one more batch
-        // of runs show.
-        const int batch = options.mutations_per_input;
-        int64_t extra = cancelled.interp_runs - capped.interp_runs;
-        bool on_boundary = (cancelled.result.executions - 1) % batch == 0;
-        EXPECT_TRUE(extra == 0 || (on_boundary && extra == batch))
-            << extra << " extra runs at " << cancelled.result.executions
-            << " executions";
+            fuzz::FuzzOptions capped_opts = options;
+            capped_opts.max_executions = cancelled.result.executions;
+            RunContext capped_ctx;
+            Campaign capped = runCampaign(*tu, capped_opts, capped_ctx);
+            expectSameFuzz(capped.result, cancelled.result);
+            EXPECT_EQ(countersWithoutRuns(ctx),
+                      countersWithoutRuns(capped_ctx));
+            // Unlike a cap, a cancel can land after the loop head let a
+            // batch commit but before its first run was bookkept; that
+            // batch's runs still count, so only then may one more batch
+            // of runs show.
+            const int batch = options.mutations_per_input;
+            int64_t extra = cancelled.interp_runs - capped.interp_runs;
+            bool on_boundary =
+                (cancelled.result.executions - 1) % batch == 0;
+            EXPECT_TRUE(extra == 0 || (on_boundary && extra == batch))
+                << extra << " extra runs at "
+                << cancelled.result.executions << " executions";
+        }
     }
 }
 
@@ -546,6 +818,139 @@ TEST(ParallelProfile, SameProfileAndCountersOnEverySubjectSuite)
             EXPECT_EQ(ctx.traceJson(), serial_ctx.traceJson());
         }
     }
+}
+
+// --- inline profile and difftest runs ------------------------------------
+
+/**
+ * The same cases without the fuzz campaign's step record, as a suite
+ * written by hand: its runs start inline and switch to the pool at the
+ * first heavy case — mid-loop when the seed case is light.
+ */
+fuzz::TestSuite
+handBuilt(const fuzz::TestSuite &suite)
+{
+    fuzz::TestSuite copy;
+    for (const fuzz::TestCase &test : suite.cases())
+        copy.add(test.args);
+    return copy;
+}
+
+/** One fuzzed and one hand-built suite of a hosted program. */
+std::vector<fuzz::TestSuite>
+pathSuites(cir::TranslationUnit &tu)
+{
+    fuzz::FuzzOptions options = lookAheadOptions(2);
+    options.max_executions = 120;
+    options.threads = 1;
+    fuzz::TestSuite fuzzed = runCampaign(tu, options).result.suite;
+    fuzz::TestSuite copy = handBuilt(fuzzed);
+    EXPECT_EQ(copy.maxRunSteps(), 0u);
+    return {fuzzed, copy};
+}
+
+TEST(InlineRuns, ProfileSameOnEveryPath)
+{
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto tu = program(hp.source);
+        for (const fuzz::TestSuite &suite : pathSuites(*tu)) {
+            SCOPED_TRACE("max run steps " +
+                         std::to_string(suite.maxRunSteps()));
+            RunContext serial_ctx;
+            interp::ValueProfile serial;
+            {
+                SpanScope span(serial_ctx, "profile");
+                serial = serialProfile(serial_ctx, *tu, "kernel", suite);
+            }
+            for (int threads : kThreadCounts) {
+                uint64_t started = WorkerPool::threadsStarted();
+                WorkerPool pool(threads);
+                RunContext ctx;
+                interp::ValueProfile profile;
+                {
+                    SpanScope span(ctx, "profile");
+                    profile = core::profileUnderSuite(ctx, *tu, "kernel",
+                                                      suite, &pool);
+                }
+                SCOPED_TRACE("threads " + std::to_string(threads));
+                EXPECT_TRUE(profile == serial);
+                EXPECT_EQ(ctx.traceJson(), serial_ctx.traceJson());
+                if (hp.path == RunPath::Inline)
+                    EXPECT_EQ(WorkerPool::threadsStarted(), started);
+            }
+        }
+    }
+}
+
+TEST(InlineRuns, DiffTestSameOnEveryPath)
+{
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    for (const HostedProgram &hp : kHostedPrograms) {
+        SCOPED_TRACE(hp.name);
+        auto orig = program(hp.source);
+        // Diverges for a[i] > 100, so some tests fail and some pass.
+        std::string divergent = hp.source;
+        const std::string from = "acc += a[i] * 2;";
+        divergent.replace(divergent.find(from), from.size(),
+                          "acc += a[i] > 100 ? a[i] * 2 + 1 : a[i] * 2;");
+        auto cand = program(divergent);
+        for (const fuzz::TestSuite &suite : pathSuites(*orig)) {
+            SCOPED_TRACE("max run steps " +
+                         std::to_string(suite.maxRunSteps()));
+            RunContext serial_ctx;
+            auto serial = repair::diffTest(serial_ctx, *orig, "kernel",
+                                           *cand, config, suite,
+                                           repair::DiffTestOptions{});
+            EXPECT_GT(serial.identical, 0);
+            EXPECT_FALSE(serial.failing.empty());
+            for (int threads : kThreadCounts) {
+                uint64_t started = WorkerPool::threadsStarted();
+                WorkerPool pool(threads);
+                repair::DiffTestOptions opts;
+                opts.pool = &pool;
+                RunContext ctx;
+                auto result = repair::diffTest(ctx, *orig, "kernel", *cand,
+                                               config, suite, opts);
+                SCOPED_TRACE("threads " + std::to_string(threads));
+                expectSameDiffTest(serial, result);
+                EXPECT_EQ(ctx.traceJson(), serial_ctx.traceJson());
+                if (hp.path == RunPath::Inline)
+                    EXPECT_EQ(WorkerPool::threadsStarted(), started);
+            }
+        }
+    }
+}
+
+TEST(LazyPool, QuickForumPostConversionStartsNoWorkerThread)
+{
+    // Default options: the run's own fuzz/profile pool and the repair
+    // search's pool are both created, and neither is ever handed work.
+    int quick = 0;
+    for (const subjects::ForumPost &post :
+         subjects::generateForumCorpus(13, 2022)) {
+        if (post.ground_truth == hls::ErrorCategory::LoopParallelization)
+            continue; // the loop-heavy posts fan out
+        quick += 1;
+        SCOPED_TRACE("post " + std::to_string(post.post_id));
+        core::HeteroGen hg(post.snippet);
+        core::HeteroGenOptions options;
+        options.kernel = "kernel";
+        size_t threads_before = liveThreads();
+        std::vector<size_t> at_stage;
+        options.stage_hook = [&](const std::string &) {
+            at_stage.push_back(liveThreads());
+        };
+        uint64_t started = WorkerPool::threadsStarted();
+        core::HeteroGenReport report = hg.run(options);
+        EXPECT_LT(report.testgen.suite.maxRunSteps(),
+                  interp::kParallelMinSteps);
+        EXPECT_EQ(WorkerPool::threadsStarted(), started);
+        EXPECT_FALSE(at_stage.empty());
+        for (size_t live : at_stage)
+            EXPECT_EQ(live, threads_before);
+    }
+    EXPECT_EQ(quick, 11);
 }
 
 // --- trace invariance ----------------------------------------------------
