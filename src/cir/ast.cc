@@ -1,5 +1,7 @@
 #include "cir/ast.h"
 
+#include <charconv>
+
 #include "support/strings.h"
 
 namespace heterogen::cir {
@@ -183,11 +185,9 @@ PragmaInfo::paramInt(const std::string &key, long fallback) const
     auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    try {
-        return std::stol(it->second);
-    } catch (...) {
-        return fallback;
-    }
+    if (std::optional<long> value = parsePragmaInt(it->second))
+        return *value;
+    fatal("pragma operand ", key, "=", it->second, " is not an integer");
 }
 
 std::string
@@ -195,6 +195,23 @@ PragmaInfo::paramStr(const std::string &key) const
 {
     auto it = params.find(key);
     return it == params.end() ? std::string() : it->second;
+}
+
+bool
+isIntegerPragmaParam(const std::string &key)
+{
+    return key == "factor" || key == "ii" || key == "depth";
+}
+
+std::optional<long>
+parsePragmaInt(const std::string &text)
+{
+    long value = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
 }
 
 bool

@@ -13,6 +13,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -328,11 +329,24 @@ struct PragmaInfo
     std::map<std::string, std::string> params;
 
     std::string str() const;
-    /** Integer-valued param lookup; fallback when missing/non-numeric. */
+    /**
+     * Integer-valued param lookup; fallback only when the key is
+     * missing. A value that is not a whole integer is a FatalError (the
+     * parser already rejects those; see isIntegerPragmaParam).
+     */
     long paramInt(const std::string &key, long fallback) const;
     /** String param lookup. */
     std::string paramStr(const std::string &key) const;
 };
+
+/** True for the operands read as integers: factor, ii and depth. */
+bool isIntegerPragmaParam(const std::string &key);
+
+/**
+ * A whole, in-range integer operand ("4", "-1"); nullopt for anything
+ * else, e.g. "", "abc", "4x)(" or a value beyond long's range.
+ */
+std::optional<long> parsePragmaInt(const std::string &text);
 
 /** Parse a pragma kind from its directive word ("unroll", ...). */
 bool parsePragmaKind(const std::string &word, PragmaKind &kind_out);

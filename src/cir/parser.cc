@@ -519,11 +519,13 @@ class Parser
             fatal("unknown HLS pragma '", words[0], "' at ", t.loc.str());
         for (size_t i = 1; i < words.size(); ++i) {
             auto eq = words[i].find('=');
-            if (eq == std::string::npos)
-                info.params[toLower(words[i])] = "";
-            else
-                info.params[toLower(words[i].substr(0, eq))] =
-                    words[i].substr(eq + 1);
+            std::string key = toLower(words[i].substr(0, eq));
+            std::string value =
+                eq == std::string::npos ? "" : words[i].substr(eq + 1);
+            if (isIntegerPragmaParam(key) && !parsePragmaInt(value))
+                fatal("pragma operand '", words[i],
+                      "' is not an integer at ", t.loc.str());
+            info.params[key] = std::move(value);
         }
         auto s = std::make_unique<PragmaStmt>(std::move(info));
         s->loc = t.loc;

@@ -250,6 +250,14 @@ badInterfacePragma(const std::string &detail, SourceLoc loc)
 }
 
 HlsError
+misplacedPragma(const std::string &detail, ErrorCategory category,
+                const std::string &symbol, SourceLoc loc)
+{
+    return make("HLS 214-114", "Misplaced pragma: " + detail + ".",
+                category, symbol, loc);
+}
+
+HlsError
 streamDeadlock(const std::string &chan, long required, long depth,
                SourceLoc loc)
 {

@@ -88,6 +88,9 @@ HlsError missingTopFunction(const std::string &name);
 HlsError invalidClock(double mhz);
 HlsError unknownDevice(const std::string &device);
 HlsError badInterfacePragma(const std::string &detail, SourceLoc loc);
+/** A pragma where HLS cannot apply it (e.g. unroll outside a loop). */
+HlsError misplacedPragma(const std::string &detail, ErrorCategory category,
+                         const std::string &symbol, SourceLoc loc);
 HlsError streamDeadlock(const std::string &chan, long required, long depth,
                         SourceLoc loc);
 HlsError streamStarvation(const std::string &chan, SourceLoc loc);

@@ -1,6 +1,6 @@
 #include "hls/synth_check.h"
-#include <functional>
 
+#include <functional>
 #include <map>
 #include <set>
 
@@ -236,18 +236,43 @@ class ExprTyper
     std::map<std::string, TypePtr> vars_;
 };
 
-/** Stateful checker over one translation unit. */
+/**
+ * Stateful checker over one translation unit. Without a configuration
+ * it runs the front-end phase alone and collects FrontEndIssues; with
+ * one it runs both phases and collects HlsErrors.
+ */
 class Checker
 {
   public:
+    explicit Checker(const TranslationUnit &tu) : tu_(tu) {}
+
     Checker(const TranslationUnit &tu, const HlsConfig &config)
-        : tu_(tu), config_(config)
+        : tu_(tu), config_(&config)
     {}
 
     std::vector<HlsError>
     run()
     {
-        checkTopConfig();
+        walk();
+        return std::move(errors_);
+    }
+
+    std::vector<FrontEndIssue>
+    runFrontEnd()
+    {
+        walk();
+        return std::move(issues_);
+    }
+
+  private:
+    /** True when the deep (synthesis-only) rules run too. */
+    bool deep() const { return config_ != nullptr; }
+
+    void
+    walk()
+    {
+        if (deep())
+            checkTopConfig();
         checkRecursion();
         for (const auto &sd : tu_.structs)
             checkStructDecl(*sd);
@@ -261,10 +286,8 @@ class Checker
             for (const auto &m : sd->methods)
                 checkFunction(*m, sd.get());
         }
-        return std::move(errors_);
     }
 
-  private:
     void
     emit(HlsError e)
     {
@@ -278,18 +301,32 @@ class Checker
         errors_.push_back(std::move(e));
     }
 
-    // --- top function configuration --------------------------------------
+    /**
+     * A front-end rule fired. Its one call site gives both renderings:
+     * synthesis emits `error`, the style gate reports `style` at the
+     * error's location.
+     */
+    void
+    frontEnd(HlsError error, std::string style)
+    {
+        if (deep())
+            emit(std::move(error));
+        else
+            issues_.push_back({std::move(style), error.loc});
+    }
+
+    // --- top function configuration (deep) ------------------------------
 
     void
     checkTopConfig()
     {
-        const FunctionDecl *top = tu_.findFunction(config_.top_function);
+        const FunctionDecl *top = tu_.findFunction(config_->top_function);
         if (!top)
-            emit(diag::missingTopFunction(config_.top_function));
-        if (config_.clock_mhz < 50.0 || config_.clock_mhz > 500.0)
-            emit(diag::invalidClock(config_.clock_mhz));
-        if (!findDevice(config_.device))
-            emit(diag::unknownDevice(config_.device));
+            emit(diag::missingTopFunction(config_->top_function));
+        if (config_->clock_mhz < 50.0 || config_->clock_mhz > 500.0)
+            emit(diag::invalidClock(config_->clock_mhz));
+        if (!findDevice(config_->device))
+            emit(diag::unknownDevice(config_->device));
         if (top) {
             for (const Param &p : top->params) {
                 if (p.type->isArray() &&
@@ -309,7 +346,8 @@ class Checker
             SourceLoc loc;
             if (const FunctionDecl *decl = tu_.findFunction(fn))
                 loc = decl->loc;
-            emit(diag::recursiveFunction(fn, loc));
+            frontEnd(diag::recursiveFunction(fn, loc),
+                     "recursive function '" + fn + "'");
         }
     }
 
@@ -319,13 +357,16 @@ class Checker
     checkStructDecl(const StructDecl &sd)
     {
         if (sd.is_union)
-            emit(diag::unionNotSupported(sd.name, sd.loc));
+            frontEnd(diag::unionNotSupported(sd.name, sd.loc),
+                     "union '" + sd.name + "' is not HLS style");
         for (const Field &f : sd.fields) {
+            const std::string field = sd.name + "::" + f.name;
             if (f.type->isPointer())
-                emit(diag::pointerUsage(sd.name + "::" + f.name, sd.loc));
+                frontEnd(diag::pointerUsage(field, sd.loc),
+                         "pointer field '" + field + "'");
             if (f.type->kind() == TypeKind::LongDouble)
-                emit(diag::longDoubleType(sd.name + "::" + f.name,
-                                          sd.loc));
+                frontEnd(diag::longDoubleType(field, sd.loc),
+                         "long double field '" + field + "'");
         }
     }
 
@@ -335,17 +376,17 @@ class Checker
     checkDecl(const DeclStmt &d)
     {
         if (d.type->isPointer())
-            emit(diag::pointerUsage(d.name, d.loc));
+            frontEnd(diag::pointerUsage(d.name, d.loc),
+                     "pointer variable '" + d.name + "'");
         if (d.type->kind() == TypeKind::LongDouble)
-            emit(diag::longDoubleType(d.name, d.loc));
-        if (d.type->isArray()) {
-            const Type *t = d.type.get();
-            while (t->isArray()) {
-                if (t->arraySize() == kUnknownArraySize) {
-                    emit(diag::unknownArraySize(d.name, d.loc));
-                    break;
-                }
-                t = t->element().get();
+            frontEnd(diag::longDoubleType(d.name, d.loc),
+                     "long double variable '" + d.name + "'");
+        for (const Type *t = d.type.get(); t->isArray();
+             t = t->element().get()) {
+            if (t->arraySize() == kUnknownArraySize) {
+                frontEnd(diag::unknownArraySize(d.name, d.loc),
+                         "array '" + d.name + "' has no compile-time size");
+                break;
             }
         }
     }
@@ -355,65 +396,75 @@ class Checker
     void
     checkFunction(const FunctionDecl &fn, const StructDecl *owner)
     {
-        ExprTyper typer(tu_, fn, owner);
-        // Parameter and return types.
         if (fn.ret_type->kind() == TypeKind::LongDouble)
-            emit(diag::longDoubleType(fn.name, fn.loc));
+            frontEnd(diag::longDoubleType(fn.name, fn.loc),
+                     "long double return type on '" + fn.name + "'");
         for (const Param &p : fn.params) {
             if (p.type->isPointer())
-                emit(diag::pointerUsage(p.name, fn.loc));
+                frontEnd(diag::pointerUsage(p.name, fn.loc),
+                         "pointer parameter '" + p.name + "'");
             if (p.type->kind() == TypeKind::LongDouble)
-                emit(diag::longDoubleType(p.name, fn.loc));
+                frontEnd(diag::longDoubleType(p.name, fn.loc),
+                         "long double parameter '" + p.name + "'");
+            // The top function's repeat of checkTopConfig's error is
+            // absorbed by emit()'s deduplication.
+            if (p.type->isArray() &&
+                p.type->arraySize() == kUnknownArraySize)
+                frontEnd(diag::unknownArraySize(p.name, fn.loc),
+                         "array parameter '" + p.name +
+                             "' has no compile-time size");
         }
         if (!fn.body)
             return;
 
-        bool has_dataflow = functionHasDataflow(fn);
-        if (has_dataflow)
-            checkDataflowRegion(fn);
+        std::optional<ExprTyper> typer;
+        bool has_dataflow = false;
+        if (deep()) {
+            typer.emplace(tu_, fn, owner);
+            has_dataflow = holdsPragma(*fn.body, PragmaKind::Dataflow);
+            if (has_dataflow)
+                checkDataflowRegion(fn);
+        }
+        const ExprTyper *deep_typer = typer ? &*typer : nullptr;
 
         forEachStmt(static_cast<const Stmt &>(*fn.body),
-                    [&](const Stmt &s) { checkStmt(s, fn, typer); });
+                    [&](const Stmt &s) {
+                        if (s.kind() == StmtKind::Decl)
+                            checkDecl(static_cast<const DeclStmt &>(s));
+                    });
         forEachExpr(static_cast<const Stmt &>(*fn.body),
-                    [&](const Expr &e) { checkExpr(e, fn, typer); });
-        checkLoopsAndPragmas(*fn.body, fn, has_dataflow, typer);
+                    [&](const Expr &e) { checkExpr(e, fn, deep_typer); });
+        checkLoopsAndPragmas(fn, has_dataflow, deep_typer);
     }
 
+    /** Does `block` itself (not a nested block) hold a `kind` pragma? */
     static bool
-    functionHasDataflow(const FunctionDecl &fn)
+    holdsPragma(const Block &block, PragmaKind kind)
     {
-        for (const auto &s : fn.body->stmts) {
+        for (const auto &s : block.stmts) {
             if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::Dataflow) {
+                static_cast<const PragmaStmt &>(*s).info.kind == kind) {
                 return true;
             }
         }
         return false;
     }
 
+    /** `typer` is null in the front-end phase. */
     void
-    checkStmt(const Stmt &s, const FunctionDecl &fn, const ExprTyper &typer)
-    {
-        (void)typer;
-        (void)fn;
-        if (s.kind() == StmtKind::Decl)
-            checkDecl(static_cast<const DeclStmt &>(s));
-    }
-
-    void
-    checkExpr(const Expr &e, const FunctionDecl &fn, const ExprTyper &typer)
+    checkExpr(const Expr &e, const FunctionDecl &fn, const ExprTyper *typer)
     {
         switch (e.kind()) {
           case ExprKind::Call: {
             const auto &c = static_cast<const Call &>(e);
             if (c.callee == "malloc" || c.callee == "free") {
-                emit(diag::dynamicAllocation(fn.name, e.loc));
-            } else if (!tu_.findFunction(c.callee)) {
+                frontEnd(diag::dynamicAllocation(fn.name, e.loc),
+                         "dynamic allocation in '" + fn.name + "'");
+            } else if (typer && !tu_.findFunction(c.callee)) {
                 // Math intrinsic: reject long double arguments, which
                 // make the C++ overload set ambiguous under HLS.
                 for (const auto &a : c.args) {
-                    TypePtr t = typer.typeOf(*a);
+                    TypePtr t = typer->typeOf(*a);
                     if (t && t->kind() == TypeKind::LongDouble) {
                         emit(diag::ambiguousOverload(c.callee, e.loc));
                         break;
@@ -428,26 +479,31 @@ class Checker
                 std::string sym = "<expr>";
                 if (u.operand->kind() == ExprKind::Ident)
                     sym = static_cast<const Ident &>(*u.operand).name;
-                emit(diag::pointerUsage(sym, e.loc));
+                frontEnd(diag::pointerUsage(sym, e.loc),
+                         "pointer expression in '" + fn.name + "'");
             }
             break;
           }
-          case ExprKind::Cast: {
-            const auto &c = static_cast<const Cast &>(e);
-            if (c.type->kind() == TypeKind::LongDouble)
-                emit(diag::longDoubleType("<cast>", e.loc));
+          case ExprKind::Cast:
+            if (static_cast<const Cast &>(e).type->kind() ==
+                TypeKind::LongDouble)
+                frontEnd(diag::longDoubleType("<cast>", e.loc),
+                         "cast to long double in '" + fn.name + "'");
             break;
-          }
-          case ExprKind::Binary: {
-            const auto &b = static_cast<const Binary &>(e);
-            checkFpgaFloatMixing(b, typer);
+          case ExprKind::Binary:
+            if (typer)
+                checkFpgaFloatMixing(static_cast<const Binary &>(e),
+                                     *typer);
             break;
-          }
           case ExprKind::StructLit: {
             const auto &lit = static_cast<const StructLit &>(e);
             const StructDecl *sd = tu_.findStruct(lit.struct_name);
             if (sd && !sd->ctor && !sd->methods.empty())
-                emit(diag::unsynthesizableStruct(lit.struct_name, e.loc));
+                frontEnd(diag::unsynthesizableStruct(lit.struct_name,
+                                                     e.loc),
+                         "struct '" + lit.struct_name +
+                             "' instantiated without explicit "
+                             "constructor");
             break;
           }
           default:
@@ -502,7 +558,7 @@ class Checker
         // shared-array rule (unserialized traffic must flow through a
         // fifo) and adds deadlock/starvation diagnostics. Regions
         // without stream channels keep the legacy checks byte-for-byte.
-        DataflowTopology topo = extractTopology(tu_, fn, config_);
+        DataflowTopology topo = extractTopology(tu_, fn, *config_);
         if (!topo.channels.empty()) {
             for (HlsError &e : detectHangs(topo))
                 emit(std::move(e));
@@ -567,49 +623,111 @@ class Checker
     // --- loop / pragma legality ---------------------------------------------------
 
     void
-    checkLoopsAndPragmas(const Block &body, const FunctionDecl &fn,
-                         bool has_dataflow, const ExprTyper &typer)
+    checkLoopsAndPragmas(const FunctionDecl &fn, bool has_dataflow,
+                         const ExprTyper *typer)
     {
-        // Walk blocks tracking the enclosing loop for each pragma.
-        std::function<void(const Block &, const Stmt *)> walk =
-            [&](const Block &block, const Stmt *loop) {
+        // Walk blocks tracking the enclosing loop for each pragma and
+        // whether the block is the function body itself.
+        std::function<void(const Block &, const Stmt *, bool)> walk =
+            [&](const Block &block, const Stmt *loop, bool at_top) {
                 for (const auto &s : block.stmts) {
                     switch (s->kind()) {
-                      case StmtKind::Pragma:
-                        checkPragma(
-                            static_cast<const PragmaStmt &>(*s), fn,
-                            loop, has_dataflow, typer);
+                      case StmtKind::Pragma: {
+                        const auto &p = static_cast<const PragmaStmt &>(*s);
+                        if (typer)
+                            checkPragma(p, fn, loop, has_dataflow, *typer);
+                        checkPragmaPlacement(p, fn, loop, at_top);
                         break;
+                      }
                       case StmtKind::For: {
                         const auto &f =
                             static_cast<const ForStmt &>(*s);
-                        walk(*f.body, s.get());
+                        walk(*f.body, s.get(), false);
                         break;
                       }
                       case StmtKind::While: {
                         const auto &w =
                             static_cast<const WhileStmt &>(*s);
-                        walk(*w.body, s.get());
+                        walk(*w.body, s.get(), false);
                         break;
                       }
                       case StmtKind::If: {
                         const auto &i = static_cast<const IfStmt &>(*s);
-                        walk(*i.then_block, loop);
+                        walk(*i.then_block, loop, false);
                         if (i.else_block)
-                            walk(*i.else_block, loop);
+                            walk(*i.else_block, loop, false);
                         break;
                       }
                       case StmtKind::Block:
-                        walk(static_cast<const Block &>(*s), loop);
+                        walk(static_cast<const Block &>(*s), loop, false);
                         break;
                       default:
                         break;
                     }
                 }
             };
-        walk(body, nullptr);
+        walk(*fn.body, nullptr, true);
     }
 
+    /**
+     * Front-end placement rules: unroll/pipeline/loop_tripcount belong
+     * inside a loop body; dataflow belongs at function-body top level;
+     * array_partition must name a variable visible in the function.
+     */
+    void
+    checkPragmaPlacement(const PragmaStmt &p, const FunctionDecl &fn,
+                         const Stmt *enclosing_loop, bool at_top)
+    {
+        const PragmaKind kind = p.info.kind;
+        std::string style, symbol;
+        ErrorCategory category = ErrorCategory::DataflowOptimization;
+        if ((kind == PragmaKind::Unroll || kind == PragmaKind::Pipeline ||
+             kind == PragmaKind::LoopTripcount) &&
+            !enclosing_loop) {
+            symbol = pragmaKindName(kind);
+            style = "'" + symbol + "' pragma outside a loop body";
+            category = ErrorCategory::LoopParallelization;
+        } else if (kind == PragmaKind::Dataflow && !at_top) {
+            symbol = "dataflow";
+            style = "'dataflow' pragma must be at the top of a function "
+                    "body";
+        } else if (kind == PragmaKind::ArrayPartition) {
+            symbol = p.info.paramStr("variable");
+            if (!symbol.empty() && !variableVisible(fn, symbol))
+                style = "'array_partition' names unknown variable '" +
+                        symbol + "'";
+        }
+        if (!style.empty())
+            frontEnd(diag::misplacedPragma(style, category, symbol, p.loc),
+                     style);
+    }
+
+    /** Parameters, body declarations and globals; not struct fields. */
+    bool
+    variableVisible(const FunctionDecl &fn, const std::string &name) const
+    {
+        for (const Param &p : fn.params) {
+            if (p.name == name)
+                return true;
+        }
+        bool found = false;
+        forEachStmt(static_cast<const Stmt &>(*fn.body),
+                    [&](const Stmt &s) {
+                        if (s.kind() == StmtKind::Decl &&
+                            static_cast<const DeclStmt &>(s).name == name)
+                            found = true;
+                    });
+        if (found)
+            return true;
+        for (const auto &g : tu_.globals) {
+            if (g->kind() == StmtKind::Decl &&
+                static_cast<const DeclStmt &>(*g).name == name)
+                return true;
+        }
+        return false;
+    }
+
+    /** Deep pragma legality; placement is checkPragmaPlacement's. */
     void
     checkPragma(const PragmaStmt &p, const FunctionDecl &fn,
                 const Stmt *enclosing_loop, bool has_dataflow,
@@ -624,7 +742,7 @@ class Checker
                 break;
             }
             if (!enclosing_loop)
-                break; // placement is the style checker's concern
+                break;
             if (has_dataflow && factor >= 50) {
                 emit(diag::preSynthesisFailed(
                     "factor " + std::to_string(factor) +
@@ -635,14 +753,14 @@ class Checker
                 const auto &loop =
                     static_cast<const ForStmt &>(*enclosing_loop);
                 if (!staticTripCount(loop).has_value() &&
-                    !loopHasTripcountPragma(loop)) {
+                    !holdsPragma(*loop.body, PragmaKind::LoopTripcount)) {
                     emit(diag::variableTripCount(
                         "loop at " + loop.loc.str(), p.loc));
                 }
             } else if (enclosing_loop->kind() == StmtKind::While) {
                 const auto &loop =
                     static_cast<const WhileStmt &>(*enclosing_loop);
-                if (!loopHasTripcountPragmaWhile(loop)) {
+                if (!holdsPragma(*loop.body, PragmaKind::LoopTripcount)) {
                     emit(diag::variableTripCount(
                         "while loop at " + loop.loc.str(), p.loc));
                 }
@@ -692,38 +810,20 @@ class Checker
         }
     }
 
-    static bool
-    loopHasTripcountPragma(const ForStmt &loop)
-    {
-        for (const auto &s : loop.body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::LoopTripcount) {
-                return true;
-            }
-        }
-        return false;
-    }
-
-    static bool
-    loopHasTripcountPragmaWhile(const WhileStmt &loop)
-    {
-        for (const auto &s : loop.body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::LoopTripcount) {
-                return true;
-            }
-        }
-        return false;
-    }
-
     const TranslationUnit &tu_;
-    const HlsConfig &config_;
+    /** Null in the front-end phase. */
+    const HlsConfig *config_ = nullptr;
     std::vector<HlsError> errors_;
+    std::vector<FrontEndIssue> issues_;
 };
 
 } // namespace
+
+std::vector<FrontEndIssue>
+checkFrontEnd(const TranslationUnit &tu)
+{
+    return Checker(tu).runFrontEnd();
+}
 
 std::vector<HlsError>
 checkSynthesizability(const TranslationUnit &tu, const HlsConfig &config)

@@ -7,12 +7,23 @@
  * structures, unsupported types/pointers, pragma legality, struct/union
  * restrictions) plus top-function configuration checks, emitting
  * Vivado-style diagnostics from hls/errors.h.
+ *
+ * One walk, two phases. The front-end phase holds the coding-style
+ * rules visible without types, configuration or a dataflow graph
+ * (recursion, dynamic allocation, pointers, long double, unsized
+ * arrays, struct/union restrictions, pragma placement); the deep phase
+ * adds everything else. checkFrontEnd() runs the front-end phase alone
+ * and is the style gate (stylecheck/stylecheck.h); checkSynthesizability
+ * runs both. Each front-end rule is written once and records both its
+ * style text and its HlsError at one site, so a design the style gate
+ * rejects is always rejected by synthesis.
  */
 
 #ifndef HETEROGEN_HLS_SYNTH_CHECK_H
 #define HETEROGEN_HLS_SYNTH_CHECK_H
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cir/ast.h"
@@ -24,6 +35,22 @@ class RunContext;
 }
 
 namespace heterogen::hls {
+
+/** One front-end rule violation, in the style gate's words. */
+struct FrontEndIssue
+{
+    /** e.g. "long double variable 'v'"; the search notes and localizes it. */
+    std::string message;
+    SourceLoc loc;
+};
+
+/**
+ * Run only the front-end phase: no HlsConfig, no expression typing, no
+ * dataflow analysis. Issues come in walk order, one per rule hit (no
+ * deduplication). Empty exactly when no front-end rule fires, and any
+ * issue here implies checkSynthesizability reports an error too.
+ */
+std::vector<FrontEndIssue> checkFrontEnd(const cir::TranslationUnit &tu);
 
 /**
  * Run all synthesizability checks. An empty result means the design passes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +26,12 @@ constexpr uint64_t kFnvPrime = 0x00000100000001b3ULL;
 constexpr uint64_t kAltSeed = 0x9e3779b97f4a7c15ULL;
 /** Seed for per-line checksums (distinct from key hashing). */
 constexpr uint64_t kCksumSeed = 0x6a09e667f3bcc908ULL;
+/**
+ * Largest generation stamp a record may carry. No store counts this
+ * far, and the headroom keeps the loader's next-generation counter
+ * from overflowing on a forged stamp.
+ */
+constexpr long long kMaxGen = LLONG_MAX / 2;
 
 /**
  * One mutex per canonical directory, process-wide: flushes from
@@ -125,8 +132,9 @@ struct ParsedLine
 
 /**
  * Parse one record line. Any malformation — wrong field count, bad
- * magic, checksum mismatch, broken escapes, non-numeric generation —
- * is Corrupt; a well-formed line with a different version is Stale.
+ * magic, checksum mismatch, broken escapes, non-numeric or out-of-range
+ * generation — is Corrupt; a well-formed line with a different version
+ * is Stale.
  */
 LineVerdict
 parseLine(const std::string &line, const std::string &version,
@@ -149,7 +157,8 @@ parseLine(const std::string &line, const std::string &version,
         return LineVerdict::Corrupt;
     char *end = nullptr;
     long long gen = std::strtoll(fields[3].c_str(), &end, 10);
-    if (end == fields[3].c_str() || *end != '\0' || gen < 0)
+    if (end == fields[3].c_str() || *end != '\0' || gen < 0 ||
+        gen > kMaxGen)
         return LineVerdict::Corrupt;
     if (*ver != version)
         return LineVerdict::Stale;

@@ -386,6 +386,78 @@ TEST(SynthCheck, InterfacePragmaPortMustExist)
     EXPECT_TRUE(hasCategory(errors, ErrorCategory::TopFunction));
 }
 
+// The four front-end shapes the style gate rejects: synthesis runs the
+// same rules, so it must reject them too (the gate is a strict subset).
+
+TEST(SynthCheck, UnrollOutsideLoopFlagged)
+{
+    auto errors = check(R"(
+        int kernel(int x) {
+            #pragma HLS unroll
+            return x;
+        }
+    )",
+                        "kernel");
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].category, ErrorCategory::LoopParallelization);
+    EXPECT_NE(errors[0].message.find("outside a loop"), std::string::npos);
+    EXPECT_EQ(errors[0].loc.line, 3);
+}
+
+TEST(SynthCheck, DataflowBelowTopLevelFlagged)
+{
+    auto errors = check(R"(
+        int kernel(int a[8]) {
+            int acc = 0;
+            for (int i = 0; i < 8; i++) {
+                #pragma HLS dataflow
+                acc += a[i];
+            }
+            return acc;
+        }
+    )",
+                        "kernel");
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].category, ErrorCategory::DataflowOptimization);
+    EXPECT_NE(errors[0].message.find("top of a function"),
+              std::string::npos);
+}
+
+TEST(SynthCheck, ArrayPartitionUnknownVariableFlagged)
+{
+    auto errors = check(R"(
+        int kernel(int a[8]) {
+            #pragma HLS array_partition variable=zz factor=2
+            return a[0];
+        }
+    )",
+                        "kernel");
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].category, ErrorCategory::DataflowOptimization);
+    EXPECT_EQ(errors[0].symbol, "zz");
+}
+
+TEST(SynthCheck, UnsizedArrayParamOffTopFlagged)
+{
+    auto errors = check(R"(
+        int helper(int a[]) { return a[0]; }
+        int kernel(int b[4]) { return helper(b); }
+    )",
+                        "kernel");
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].symbol, "a");
+    EXPECT_NE(errors[0].message.find("unknown size"), std::string::npos);
+}
+
+TEST(SynthCheck, UnsizedTopArrayParamReportedOnce)
+{
+    // checkTopConfig and the per-function rule both see the top's
+    // parameter; the (code, symbol, line) dedupe keeps one error.
+    auto errors = check("int kernel(float input[]) { return 0; }",
+                        "kernel");
+    EXPECT_EQ(errors.size(), 1u);
+}
+
 TEST(StaticTripCount, CanonicalForms)
 {
     auto tu = parse(R"(
