@@ -150,6 +150,9 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
 
     if (fuzz_opts.host_function.empty())
         fuzz_opts.host_function = options.host_function;
+    // Feeds the initial HLS version and the search's edits; the report
+    // does not keep it.
+    interp::ValueProfile profile;
     {
         // Fuzz and profile share one pool: the caller's, else one sized
         // by fuzz.threads and released before the repair search.
@@ -163,13 +166,13 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
         stage("fuzz");
         report.testgen = fuzz::fuzzKernel(ctx, *tu_, options.kernel,
                                           sema_, fuzz_opts);
+        report.testgen.coverage.reduceToCounts();
 
         // (2) Initial HLS version: profile value ranges, estimate types.
         stage("profile");
         SpanScope profiling(ctx, "profile");
-        report.profile = profileUnderSuite(ctx, *tu_, options.kernel,
-                                           report.testgen.suite,
-                                           fuzz_opts.pool);
+        profile = profileUnderSuite(ctx, *tu_, options.kernel,
+                                    report.testgen.suite, fuzz_opts.pool);
     }
     cir::TuPtr broken = tu_->clone();
     hls::HlsConfig config = options.config;
@@ -179,8 +182,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     if (options.narrow_bitwidths) {
         stage("init_hls");
         SpanScope init(ctx, "init_hls");
-        repair::RepairContext rctx{*broken, config, "", &report.profile,
-                                   nullptr, false};
+        repair::RepairContext rctx{*broken, config, "", &profile, nullptr,
+                                   false};
         repair::xform::bitwidthNarrow(rctx);
     }
 
@@ -189,8 +192,8 @@ HeteroGen::run(RunContext &ctx, const HeteroGenOptions &options) const
     stage("repair");
     report.search = repair::repairSearch(ctx, *tu_, options.kernel,
                                          *broken, config,
-                                         report.testgen.suite,
-                                         report.profile, search_opts);
+                                         report.testgen.suite, profile,
+                                         search_opts);
 
     report.hls_source = cir::print(*report.search.program);
     report.final_loc = countLines(report.hls_source);

@@ -112,10 +112,11 @@ void validateOptions(const HeteroGenOptions &options);
 /** Everything the pipeline produced. */
 struct HeteroGenReport
 {
-    /** Test-generation statistics (Table 4 inputs). */
+    /**
+     * Test-generation statistics (Table 4 inputs). The coverage map is
+     * reduced to its counts (CoverageMap::reduceToCounts).
+     */
     fuzz::FuzzResult testgen;
-    /** Value profile of the original program under the suite. */
-    interp::ValueProfile profile;
     /** Repair-search outcome including the final program. */
     repair::SearchResult search;
     /** Printed HLS-C output. */

@@ -120,20 +120,71 @@ constexpr uint64_t kLaunchCycles = 100;
 /** Combined per-loop acceleration bound (pipeline x unroll x flatten). */
 constexpr double kMaxLoopAcceleration = 64.0;
 
+/** A streaming dataflow region's run-independent facts. */
+struct StreamRegion
+{
+    /** The processes' distinct callees. */
+    std::set<std::string> callees;
+    uint64_t stalls = 0;
+    int processes = 0;
+};
+
 } // namespace
 
+struct FpgaSimulator::Design
+{
+    std::map<int, LoopInfo> loop_info;
+    /** Regions with stream channels, in function order. */
+    std::vector<StreamRegion> regions;
+};
+
+FpgaSimulator::FpgaSimulator(const TranslationUnit &tu,
+                             const HlsConfig &config)
+    : clock_mhz_(config.clock_mhz), interp_(tu)
+{
+    auto design = std::make_unique<Design>();
+    design->loop_info = collectLoopInfo(tu);
+    for (const auto &fn : tu.functions) {
+        if (!fn->body)
+            continue;
+        bool has_dataflow = false;
+        for (const auto &s : fn->body->stmts) {
+            if (s->kind() == StmtKind::Pragma &&
+                static_cast<const PragmaStmt &>(*s).info.kind ==
+                    PragmaKind::Dataflow) {
+                has_dataflow = true;
+                break;
+            }
+        }
+        if (!has_dataflow)
+            continue;
+        DataflowTopology topo = extractTopology(tu, *fn, config);
+        if (topo.channels.empty())
+            continue;
+        StreamRegion region;
+        for (const StreamProcess &p : topo.processes)
+            region.callees.insert(p.callee);
+        region.stalls = fifoStallCycles(topo);
+        region.processes = static_cast<int>(topo.processes.size());
+        design->regions.push_back(std::move(region));
+    }
+    design_ = std::move(design);
+}
+
+FpgaSimulator::~FpgaSimulator() = default;
+
 FpgaRunResult
-simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
-             const std::string &kernel, const std::vector<KernelArg> &args,
-             interp::RunOptions options,
-             std::vector<LoopAcceleration> *accel_out)
+FpgaSimulator::run(const std::string &kernel,
+                   const std::vector<KernelArg> &args,
+                   interp::RunOptions options,
+                   std::vector<LoopAcceleration> *accel_out)
 {
     FpgaRunResult result;
     LoopProfile profile;
     options.loop_profile = &profile;
-    result.run = interp::runProgram(tu, kernel, args, options);
+    result.run = interp_.run(kernel, args, options);
 
-    auto loop_info = collectLoopInfo(tu);
+    const std::map<int, LoopInfo> &loop_info = design_->loop_info;
 
     // First pass: per-loop acceleration from its own pragmas.
     std::map<int, LoopAcceleration> accel_by_node;
@@ -196,41 +247,21 @@ simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
     // pragma-bearing function itself, so the two credits never stack.
     double overlap_credit = 0;
     uint64_t stalls = 0;
-    for (const auto &fn : tu.functions) {
-        if (!fn->body)
-            continue;
-        bool has_dataflow = false;
-        for (const auto &s : fn->body->stmts) {
-            if (s->kind() == StmtKind::Pragma &&
-                static_cast<const PragmaStmt &>(*s).info.kind ==
-                    PragmaKind::Dataflow) {
-                has_dataflow = true;
-                break;
-            }
-        }
-        if (!has_dataflow)
-            continue;
-        DataflowTopology topo = extractTopology(tu, *fn, config);
-        if (topo.channels.empty())
-            continue;
-        std::set<std::string> callees;
-        for (const StreamProcess &p : topo.processes)
-            callees.insert(p.callee);
+    for (const StreamRegion &region : design_->regions) {
         double serial = 0, longest = 0;
-        for (const std::string &callee : callees) {
+        for (const std::string &callee : region.callees) {
             auto it = fn_cycles.find(callee);
             if (it == fn_cycles.end())
                 continue;
             serial += it->second;
             longest = std::max(longest, it->second);
         }
-        double overlap = std::clamp(double(callees.size()), 1.0,
+        double overlap = std::clamp(double(region.callees.size()), 1.0,
                                     kMaxDataflowOverlap);
         double overlapped = std::max(longest, serial / overlap);
         overlap_credit += std::max(0.0, serial - overlapped);
-        stalls += fifoStallCycles(topo);
-        result.stream_processes +=
-            static_cast<int>(topo.processes.size());
+        stalls += region.stalls;
+        result.stream_processes += region.processes;
     }
     accelerated = std::max(0.0, accelerated - overlap_credit) +
                   double(stalls);
@@ -244,9 +275,19 @@ simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
     result.transfer_cycles = transfer;
 
     result.fpga_cycles = uint64_t(accelerated) + transfer;
-    double period_ns = 1000.0 / config.clock_mhz;
+    double period_ns = 1000.0 / clock_mhz_;
     result.millis = double(result.fpga_cycles) * period_ns * 1e-6;
     return result;
+}
+
+FpgaRunResult
+simulateFpga(const TranslationUnit &tu, const HlsConfig &config,
+             const std::string &kernel, const std::vector<KernelArg> &args,
+             interp::RunOptions options,
+             std::vector<LoopAcceleration> *accel_out)
+{
+    return FpgaSimulator(tu, config).run(kernel, args, std::move(options),
+                                         accel_out);
 }
 
 } // namespace heterogen::hls

@@ -13,6 +13,8 @@
 #ifndef HETEROGEN_HLS_FPGA_MODEL_H
 #define HETEROGEN_HLS_FPGA_MODEL_H
 
+#include <memory>
+
 #include "cir/ast.h"
 #include "hls/config.h"
 #include "interp/interp.h"
@@ -52,7 +54,39 @@ struct LoopAcceleration
 };
 
 /**
- * Co-simulate `kernel` on the modeled FPGA.
+ * Co-simulation of one design. Construction gathers what depends only
+ * on the design — per-loop pragma facts and the streaming dataflow
+ * regions with their FIFO stalls — and the interpreter compiles the
+ * design on its first run, so a campaign pays both once however many
+ * inputs it runs. run() may be called concurrently (the difftest
+ * fan-out does); `tu` must outlive the simulator.
+ */
+class FpgaSimulator
+{
+  public:
+    FpgaSimulator(const cir::TranslationUnit &tu, const HlsConfig &config);
+    ~FpgaSimulator();
+
+    FpgaSimulator(const FpgaSimulator &) = delete;
+    FpgaSimulator &operator=(const FpgaSimulator &) = delete;
+
+    /** Co-simulate `kernel` on `args`; see simulateFpga. */
+    FpgaRunResult run(const std::string &kernel,
+                      const std::vector<interp::KernelArg> &args,
+                      interp::RunOptions options = {},
+                      std::vector<LoopAcceleration> *accel_out =
+                          nullptr);
+
+  private:
+    struct Design;
+
+    double clock_mhz_;
+    std::unique_ptr<const Design> design_;
+    interp::Interpreter interp_;
+};
+
+/**
+ * Co-simulate `kernel` on the modeled FPGA: a one-shot FpgaSimulator.
  *
  * @param tu        design (must be HLS-clean for meaningful latency)
  * @param config    toolchain configuration (clock)

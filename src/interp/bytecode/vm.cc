@@ -101,6 +101,8 @@ class VM
         globals_.clear();
         static_streams_.clear();
         loop_stack_.clear();
+        if (opts.profile)
+            profile_ranges_.assign(p_.names.size(), nullptr);
         steps_ = 0;
         cycles_ = 0;
         branch_records_ = 0;
@@ -189,9 +191,18 @@ class VM
             if (loop_stack_.empty())
                 loop_profile_->root_cycles += c;
             else
-                loop_profile_->loops[loop_stack_.back()]
-                    .cycles_exclusive += c;
+                loop_stack_.back()->cycles_exclusive += c;
         }
+    }
+
+    /** LoopScope::iteration(): the innermost loop is the one counted. */
+    void
+    loopIteration(int loop_id)
+    {
+        if (!loop_stack_.empty() && loop_stack_.back()->node_id == loop_id)
+            loop_stack_.back()->iterations += 1;
+        else
+            loop_profile_->loops[loop_id].iterations += 1;
     }
 
     void
@@ -213,13 +224,15 @@ class VM
     void
     profileStore(int key, const Value &v)
     {
-        if (!opts_->profile || key < 0)
+        if (!opts_->profile || key < 0 || !(v.isInt() || v.isFloat()))
             return;
-        const std::string &name = p_.names[key];
+        ValueRange *&range = profile_ranges_[size_t(key)];
+        if (!range)
+            range = &opts_->profile->range(p_.names[size_t(key)]);
         if (v.isInt())
-            opts_->profile->note(name, v.asInt());
-        else if (v.isFloat())
-            opts_->profile->noteFloat(name, v.asFloat());
+            range->noteInt(v.asInt());
+        else
+            range->noteFloat(v.asFloat());
     }
 
     // --- layout / type helpers -----------------------------------------------
@@ -1043,14 +1056,14 @@ class VM
                 if (!cond) {
                     pc = op.b;
                 } else if (loop_profile_) {
-                    loop_profile_->loops[op.c].iterations += 1;
+                    loopIteration(op.c);
                 }
                 break;
               }
               case OpCode::LoopAlways: {
                 recordBranch(op.a, true);
                 if (loop_profile_)
-                    loop_profile_->loops[op.c].iterations += 1;
+                    loopIteration(op.c);
                 break;
               }
               case OpCode::LoopEnter: {
@@ -1060,9 +1073,9 @@ class VM
                     rec.node_id = op.a;
                     rec.parent_id = loop_stack_.empty()
                                         ? -1
-                                        : loop_stack_.back();
+                                        : loop_stack_.back()->node_id;
                     rec.entries += 1;
-                    loop_stack_.push_back(op.a);
+                    loop_stack_.push_back(&rec);
                 }
                 break;
               }
@@ -1441,7 +1454,7 @@ class VM
                 if (!cond) {
                     pc = o2.b;
                 } else if (loop_profile_) {
-                    loop_profile_->loops[o2.c].iterations += 1;
+                    loopIteration(o2.c);
                 }
                 break;
               }
@@ -1487,7 +1500,7 @@ class VM
                 } else if (op.code ==
                                OpCode::FuseLoadRegLoadRegBinaryBranchLoop &&
                            loop_profile_) {
-                    loop_profile_->loops[o4.c].iterations += 1;
+                    loopIteration(o4.c);
                 }
                 break;
               }
@@ -1511,7 +1524,7 @@ class VM
                 } else if (op.code ==
                                OpCode::FuseLoadRegConstBinaryBranchLoop &&
                            loop_profile_) {
-                    loop_profile_->loops[o4.c].iterations += 1;
+                    loopIteration(o4.c);
                 }
                 break;
               }
@@ -1931,7 +1944,16 @@ class VM
     std::vector<Binding> slot_stack_; ///< all live frames' slots
     std::vector<Binding> globals_;
     std::map<int, int32_t> static_streams_;
-    std::vector<int> loop_stack_;
+    /**
+     * Records of the active loops, innermost last. std::map nodes never
+     * move, so charge() adds to the top record without a lookup.
+     */
+    std::vector<LoopRecord *> loop_stack_;
+    /**
+     * This run's value-profile range per profile key, filled on the
+     * key's first store (map nodes are stable, so no lookup after).
+     */
+    std::vector<ValueRange *> profile_ranges_;
     uint64_t steps_ = 0;
     uint64_t cycles_ = 0;
     uint64_t branch_records_ = 0;

@@ -142,6 +142,29 @@ class CoverageMap
         return static_cast<double>(hitCount()) / (2.0 * num_branches_);
     }
 
+    /**
+     * Shrink to the covered edges alone, each kept as a raw count (an
+     * edge merged in without one counts once); the hit-count buckets
+     * and the merged-edge set go. hitCount() and coverage() keep their
+     * values. For a map read only for those totals afterwards, such as
+     * a finished campaign's in a retained report.
+     */
+    void
+    reduceToCounts()
+    {
+        for (size_t edge : merged_hits_) {
+            if (edge >= counts_.size())
+                counts_.resize(edge + 1, 0);
+            if (counts_[edge] == 0) {
+                counts_[edge] = 1;
+                ++distinct_counted_;
+            }
+        }
+        merged_hits_.clear();
+        buckets_.clear();
+        counts_.shrink_to_fit();
+    }
+
     void
     clear()
     {

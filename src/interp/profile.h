@@ -87,13 +87,23 @@ class ValueProfile
     void
     note(const std::string &key, long v)
     {
-        ranges_[key].noteInt(v);
+        range(key).noteInt(v);
     }
 
     void
     noteFloat(const std::string &key, double v)
     {
-        ranges_[key].noteFloat(v);
+        range(key).noteFloat(v);
+    }
+
+    /**
+     * The key's range, created empty on first use. The reference stays
+     * valid until the profile is destroyed: ranges are never erased.
+     */
+    ValueRange &
+    range(const std::string &key)
+    {
+        return ranges_[key];
     }
 
     const ValueRange *

@@ -23,12 +23,11 @@ struct TestRecord
 };
 
 DiffTestResult
-diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
-             const std::string &original_kernel,
+diffTestImpl(RunContext *ctx, OriginalRuns &original,
              const cir::TranslationUnit &candidate,
-             const hls::HlsConfig &config, const fuzz::TestSuite &suite,
-             const DiffTestOptions &options)
+             const hls::HlsConfig &config, const DiffTestOptions &options)
 {
+    const fuzz::TestSuite &suite = original.suite();
     DiffTestResult result;
     if (ctx && !admitFaultSite(*ctx, "difftest.cosim")) {
         // The shared co-sim session never came up: no tests ran, no
@@ -42,21 +41,20 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
     result.total = limit;
 
     // Map phase: every test is independent (fresh interpreter state per
-    // run), writes only its own record. The original-program
-    // interpreter is shared so the bytecode engine compiles it once.
-    interp::Interpreter cpu_interp(original);
+    // run), writes only its own record. The candidate's simulator is
+    // shared so it compiles once per campaign; the original's runs come
+    // from the cache.
+    hls::FpgaSimulator cosim(candidate, config);
     std::vector<TestRecord> records(static_cast<size_t>(limit));
     parallelForEach(
         options.pool, records.size(),
         [&](size_t i) {
-            const fuzz::TestCase &test = suite[i];
             TestRecord &rec = records[i];
             RunOptions opts;
             opts.trace = ctx;
-            RunResult cpu =
-                cpu_interp.run(original_kernel, test.args, opts);
-            hls::FpgaRunResult fpga = hls::simulateFpga(
-                candidate, config, config.top_function, test.args, opts);
+            const RunResult &cpu = original.run(i, ctx);
+            hls::FpgaRunResult fpga =
+                cosim.run(config.top_function, suite[i].args, opts);
             rec.steps = cpu.steps + fpga.run.steps;
             rec.cpu_ms = cpu.cpuMillis();
             rec.fpga_ms = fpga.millis;
@@ -108,6 +106,36 @@ diffTestImpl(RunContext *ctx, const cir::TranslationUnit &original,
 
 } // namespace
 
+OriginalRuns::OriginalRuns(const cir::TranslationUnit &original,
+                           std::string kernel, const fuzz::TestSuite &suite)
+    : kernel_(std::move(kernel)), suite_(suite), interp_(original),
+      runs_(suite.size())
+{
+}
+
+OriginalRuns::~OriginalRuns() = default;
+
+size_t
+OriginalRuns::cached() const
+{
+    return size_t(std::count_if(runs_.begin(), runs_.end(),
+                                [](const auto &run) { return bool(run); }));
+}
+
+const RunResult &
+OriginalRuns::run(size_t i, RunContext *trace)
+{
+    std::optional<RunResult> &slot = runs_[i];
+    if (!slot) {
+        RunOptions opts;
+        opts.trace = trace;
+        slot = interp_.run(kernel_, suite_[i].args, opts);
+    } else if (trace) {
+        interp::countRun(*trace, *slot);
+    }
+    return *slot;
+}
+
 DiffTestResult
 diffTest(const cir::TranslationUnit &original,
          const std::string &original_kernel,
@@ -115,8 +143,8 @@ diffTest(const cir::TranslationUnit &original,
          const hls::HlsConfig &config, const fuzz::TestSuite &suite,
          const DiffTestOptions &options)
 {
-    return diffTestImpl(nullptr, original, original_kernel, candidate,
-                        config, suite, options);
+    OriginalRuns runs(original, original_kernel, suite);
+    return diffTestImpl(nullptr, runs, candidate, config, options);
 }
 
 DiffTestResult
@@ -126,8 +154,16 @@ diffTest(RunContext &ctx, const cir::TranslationUnit &original,
          const hls::HlsConfig &config, const fuzz::TestSuite &suite,
          const DiffTestOptions &options)
 {
-    return diffTestImpl(&ctx, original, original_kernel, candidate,
-                        config, suite, options);
+    OriginalRuns runs(original, original_kernel, suite);
+    return diffTestImpl(&ctx, runs, candidate, config, options);
+}
+
+DiffTestResult
+diffTest(RunContext &ctx, OriginalRuns &original,
+         const cir::TranslationUnit &candidate,
+         const hls::HlsConfig &config, const DiffTestOptions &options)
+{
+    return diffTestImpl(&ctx, original, candidate, config, options);
 }
 
 DiffTestResult

@@ -4,7 +4,7 @@
  * (candidate) over a generated test suite — HeteroGen's fitness oracle.
  *
  * Evaluation is embarrassingly parallel across test inputs: each test
- * runs both sides in its own interpreter instance and writes a private
+ * runs both sides with fresh interpreter state and writes a private
  * per-test record; the records are then reduced serially in input
  * order. Results are therefore byte-identical at any host thread
  * count (tests/test_parallel.cc asserts this).
@@ -13,6 +13,7 @@
 #ifndef HETEROGEN_REPAIR_DIFFTEST_H
 #define HETEROGEN_REPAIR_DIFFTEST_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,48 @@ struct DiffTestResult
 };
 
 /**
+ * The original program's side of differential testing over one suite:
+ * each test's CPU run is interpreted on first use and kept. A search's
+ * campaigns share the original, kernel and suite, so it owns one of
+ * these and interprets the original once per test instead of once per
+ * campaign. A kept run is counted on the campaign's context through
+ * interp::countRun exactly as a fresh run would be, so the interp.*
+ * counters, campaign steps and simulated minutes do not depend on
+ * whether it was kept.
+ *
+ * Campaigns over one cache run one at a time; within a campaign each
+ * test index is run by a single task, so slots need no lock.
+ */
+class OriginalRuns
+{
+  public:
+    /** `original` and `suite` must outlive the cache. */
+    OriginalRuns(const cir::TranslationUnit &original, std::string kernel,
+                 const fuzz::TestSuite &suite);
+    ~OriginalRuns();
+
+    OriginalRuns(const OriginalRuns &) = delete;
+    OriginalRuns &operator=(const OriginalRuns &) = delete;
+
+    const fuzz::TestSuite &suite() const { return suite_; }
+
+    /** Tests whose run is kept. */
+    size_t cached() const;
+
+    /**
+     * Test `i`'s run: interpreted on the first call, kept after. Every
+     * call counts the run on `trace` when non-null.
+     */
+    const interp::RunResult &run(size_t i, RunContext *trace);
+
+  private:
+    std::string kernel_;
+    const fuzz::TestSuite &suite_;
+    interp::Interpreter interp_;
+    std::vector<std::optional<interp::RunResult>> runs_;
+};
+
+/**
  * Run the suite on both sides and compare input-output behaviour.
  *
  * @param original        the input C program (CPU reference)
@@ -121,6 +164,16 @@ DiffTestResult diffTest(RunContext &ctx,
                         const cir::TranslationUnit &candidate,
                         const hls::HlsConfig &config,
                         const fuzz::TestSuite &suite,
+                        const DiffTestOptions &options);
+
+/**
+ * Spine-aware campaign whose original-side runs come from (and fill)
+ * `original`; the suite and kernel are the cache's. Results, counters
+ * and sim_minutes are identical to a campaign on a fresh cache.
+ */
+DiffTestResult diffTest(RunContext &ctx, OriginalRuns &original,
+                        const cir::TranslationUnit &candidate,
+                        const hls::HlsConfig &config,
                         const DiffTestOptions &options);
 
 /** Serial campaign over up to max_tests inputs (0 = all). */

@@ -47,8 +47,8 @@ class Search
            const interp::ValueProfile &profile,
            const SearchOptions &options)
         : ctx_(ctx), original_(original), kernel_(kernel), suite_(suite),
-          profile_(profile), options_(options), rng_(options.rng_seed),
-          memo_(&ctx)
+          original_runs_(original, kernel, suite), profile_(profile),
+          options_(options), rng_(options.rng_seed), memo_(&ctx)
     {
         if (options.pool) {
             pool_ = options.pool;
@@ -293,8 +293,8 @@ class Search
         dt.max_tests = options_.difftest_sample;
         dt.sim_workers = options_.difftest_sim_workers;
         dt.pool = pool_;
-        DiffTestResult fitness = diffTest(ctx_, original_, kernel_,
-                                          *cand_, config_, suite_, dt);
+        DiffTestResult fitness =
+            diffTest(ctx_, original_runs_, *cand_, config_, dt);
         if (options_.use_memo && !fitness.tool_failure)
             memo_.storeDiffTest(fingerprint_, fitness, disk_key);
         return fitness;
@@ -620,6 +620,8 @@ class Search
     const TranslationUnit &original_;
     const std::string kernel_;
     const fuzz::TestSuite &suite_;
+    /** The original's side of every campaign, interpreted once. */
+    OriginalRuns original_runs_;
     const interp::ValueProfile &profile_;
     SearchOptions options_;
     Rng rng_;

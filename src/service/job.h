@@ -124,9 +124,20 @@ struct JobOutcome
      * report — cancellation is not a degradation. */
     core::HeteroGenReport report;
     bool has_report = false;
-    /** The job's isolated trace (report.trace_json when has_report,
-     * else whatever the failed run traced before throwing). */
-    std::string trace_json;
+    /**
+     * What a run that threw traced before throwing; empty when
+     * has_report, whose report carries the trace itself (traceJson()
+     * reads either without a copy).
+     */
+    std::string error_trace_json;
+
+    /** The job's isolated trace: report.trace_json when has_report,
+     * else error_trace_json. */
+    const std::string &
+    traceJson() const
+    {
+        return has_report ? report.trace_json : error_trace_json;
+    }
 };
 
 /** Scheduler configuration. */

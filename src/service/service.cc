@@ -24,7 +24,7 @@ struct HostResult
     bool has_report = false;
     bool failed = false;
     std::string error;
-    std::string trace_json;
+    std::string error_trace_json;
     /** ctx->cancelled() after the run, i.e. a live cancel() landed. */
     bool live_cancelled = false;
     /** Simulated minutes the run took (the job's RunContext clock). */
@@ -247,7 +247,8 @@ ConversionService::finishLocked(Job &job, JobState state,
     if (job.result) {
         job.outcome.report = std::move(job.result->report);
         job.outcome.has_report = job.result->has_report;
-        job.outcome.trace_json = std::move(job.result->trace_json);
+        job.outcome.error_trace_json =
+            std::move(job.result->error_trace_json);
     }
     job.terminal = true;
     job.ctx.reset();
@@ -484,11 +485,10 @@ ConversionService::executeRunning(std::unique_lock<std::mutex> &lock,
                         };
                     res.report = hg.run(*job->ctx, opts);
                     res.has_report = true;
-                    res.trace_json = res.report.trace_json;
                 } catch (const std::exception &e) {
                     res.failed = true;
                     res.error = e.what();
-                    res.trace_json = job->ctx->traceJson();
+                    res.error_trace_json = job->ctx->traceJson();
                 }
                 res.live_cancelled = job->ctx->cancelled();
                 res.duration = job->ctx->now();

@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/heterogen.h"
 #include "repair/store.h"
@@ -28,7 +30,34 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** A fresh, empty cache directory under the system temp root. */
+std::mutex fresh_dirs_mu;
+/** Paths freshDir() handed out to the running test. */
+std::vector<fs::path> fresh_dirs;
+
+/** Removes the paths freshDir() handed out when each test ends. */
+class FreshDirCleanup : public ::testing::EmptyTestEventListener
+{
+    void
+    OnTestEnd(const ::testing::TestInfo &) override
+    {
+        std::lock_guard<std::mutex> lock(fresh_dirs_mu);
+        std::error_code ec;
+        for (const fs::path &p : fresh_dirs)
+            fs::remove_all(p, ec);
+        fresh_dirs.clear();
+    }
+};
+
+[[maybe_unused]] const bool fresh_dir_cleanup_installed = [] {
+    ::testing::UnitTest::GetInstance()->listeners().Append(
+        new FreshDirCleanup);
+    return true;
+}();
+
+/**
+ * A fresh, empty cache directory under the system temp root, removed
+ * (with whatever the test put there) when the test ends.
+ */
 std::string
 freshDir(const std::string &tag)
 {
@@ -38,6 +67,8 @@ freshDir(const std::string &tag)
                   "-" + std::to_string(seq.fetch_add(1)));
     std::error_code ec;
     fs::remove_all(p, ec);
+    std::lock_guard<std::mutex> lock(fresh_dirs_mu);
+    fresh_dirs.push_back(p);
     return p.string();
 }
 
@@ -836,9 +867,9 @@ drainWithCache(const std::string &dir, int host_threads)
         const service::JobOutcome &out = svc.collect(id);
         EXPECT_TRUE(out.has_report);
         rec.sources.push_back(out.report.hls_source);
-        rec.traces.push_back(out.trace_json);
+        rec.traces.push_back(out.traceJson());
         rec.minutes.push_back(out.report.total_minutes);
-        auto span = parseTraceJson(out.trace_json);
+        auto span = parseTraceJson(out.traceJson());
         rec.hls_compiles += span->counterTotal("hls.compiles");
         rec.disk_hits +=
             span->counterTotal("repair.diskcache.hits");

@@ -594,6 +594,193 @@ TEST(InterpDiff, DifferentialForwardsReferenceObservables)
               walk.branch_log.events.size());
 }
 
+// --- the loop- and value-profile sinks at their edges --------------------
+//
+// The VM adds cycles and iterations to the innermost loop's record
+// through a pointer stack, and caches each profile key's range for the
+// run. These cases drive both caches where they could go stale: frames
+// unwinding out of loops, a loop re-entered by recursion, loops left
+// by break or never iterated, runs cut off mid-loop, and one key seeing
+// both value kinds.
+
+/**
+ * Compile `src`, require the bytecode compile, and check every
+ * observable of `fn(args)` against the walker; returns the VM's
+ * observation for case-specific checks.
+ */
+Observation
+expectSinksAgree(const std::string &src, const std::string &fn,
+                 const std::vector<KernelArg> &args,
+                 const std::string &label, uint64_t max_steps = 2'000'000)
+{
+    auto tu = parse(src);
+    cir::analyzeOrDie(*tu);
+    expectCompiles(*tu, label);
+    Interpreter interp(*tu);
+    expectEnginesAgree(interp, fn, args, label, max_steps);
+    return observe(interp, fn, args, EngineKind::Bytecode, max_steps);
+}
+
+TEST(ProfileSinks, ReturnFromNestedLoopsAndRecursiveReentry)
+{
+    Observation ret = expectSinksAgree(R"(
+        int find(int a[8], int t) {
+            for (int i = 0; i < 4; i++) {
+                for (int j = 0; j < 2; j++) {
+                    if (a[i * 2 + j] == t) { return i * 2 + j; }
+                }
+            }
+            return -1;
+        }
+        int kernel(int a[8], int t) {
+            int total = 0;
+            for (int k = 0; k < 3; k++) {
+                total += find(a, t + k);
+                total += 1;
+            }
+            return total;
+        }
+    )", "kernel", {KernelArg::ofInts({1, 2, 3, 4, 5, 6, 7, 8}),
+                   KernelArg::ofInt(4)},
+        "return from nested loops");
+    EXPECT_TRUE(ret.result.ok);
+    EXPECT_EQ(ret.loops.loops.size(), 3u);
+
+    Observation rec = expectSinksAgree(R"(
+        int walk(int n) {
+            int s = 0;
+            for (int i = 0; i < 2; i++) {
+                s += i;
+                if (n > 0) { s += walk(n - 1); }
+                s += 2;
+            }
+            return s;
+        }
+        int kernel(int n) { return walk(n); }
+    )", "kernel", {KernelArg::ofInt(3)}, "recursive re-entry");
+    ASSERT_EQ(rec.loops.loops.size(), 1u);
+    const LoopRecord &loop = rec.loops.loops.begin()->second;
+    EXPECT_EQ(loop.entries, 15u); // 1 + 2 + 4 + 8 calls
+    EXPECT_EQ(loop.iterations, 30u);
+    EXPECT_EQ(loop.parent_id, loop.node_id) << "re-entered inside itself";
+}
+
+TEST(ProfileSinks, BreakContinueAndLoopsWithNoIterations)
+{
+    const char *src = R"(
+        int kernel(int n, int a[6]) {
+            int s = 0;
+            for (int i = 0; i < 6; i++) {
+                if (a[i] < 0) { continue; }
+                if (a[i] > 10) { break; }
+                for (int j = 0; j < n; j++) { s += j; }
+                s += a[i];
+            }
+            while (s < 0) { s += 1; }
+            for (;;) {
+                s += 1;
+                if (s > 40) { break; }
+            }
+            return s;
+        }
+    )";
+    for (long n : {0L, 2L}) {
+        Observation o = expectSinksAgree(
+            src, "kernel",
+            {KernelArg::ofInt(n), KernelArg::ofInts({3, -1, 4, -5, 11, 6})},
+            "break/continue n=" + std::to_string(n));
+        EXPECT_TRUE(o.result.ok);
+        // The while loop, and at n = 0 the inner for, are entered but
+        // never run their body.
+        int idle = 0;
+        for (const auto &[id, rec] : o.loops.loops) {
+            EXPECT_GT(rec.entries, 0u) << "loop " << id;
+            idle += rec.iterations == 0 ? 1 : 0;
+        }
+        EXPECT_EQ(o.loops.loops.size(), 4u);
+        EXPECT_EQ(idle, n == 0 ? 2 : 1);
+    }
+}
+
+TEST(ProfileSinks, TrapsMidLoopFromStepAndHeapCaps)
+{
+    Observation steps = expectSinksAgree(R"(
+        int kernel(int n) {
+            int acc = 0;
+            for (int i = 0; i < n; i++) {
+                for (int j = 0; j < n; j++) { acc += i ^ j; }
+            }
+            return acc;
+        }
+    )", "kernel", {KernelArg::ofInt(1000)}, "step cap mid-loop", 3'000);
+    EXPECT_FALSE(steps.result.ok);
+    EXPECT_EQ(steps.loops.loops.size(), 2u);
+
+    Observation heap = expectSinksAgree(R"(
+        int kernel(int n) {
+            int acc = 0;
+            for (int i = 0; i < 8; i++) {
+                int size = 2;
+                if (i == 3) { size = n; }
+                int *p = (int *)malloc(sizeof(int) * size);
+                p[0] = i;
+                acc += p[0];
+                free(p);
+            }
+            return acc;
+        }
+    )", "kernel", {KernelArg::ofInt(5'000'000)}, "heap cap mid-loop");
+    EXPECT_FALSE(heap.result.ok);
+    EXPECT_EQ(heap.result.trap, "allocation exceeds interpreter heap limit");
+    ASSERT_EQ(heap.loops.loops.size(), 1u);
+    EXPECT_EQ(heap.loops.loops.begin()->second.iterations, 4u);
+}
+
+TEST(ProfileSinks, OneKeyStoredAsIntAndAsFloat)
+{
+    Observation o = expectSinksAgree(R"(
+        float kernel(int n) {
+            float acc = 0;
+            for (int i = 0; i < n; i++) { int v = i * 3; acc += v; }
+            for (int i = 0; i < n; i++) { float v = i * 0.5; acc += v; }
+            return acc;
+        }
+    )", "kernel", {KernelArg::ofInt(5)}, "int and float key");
+    const ValueRange *v = o.profile.find("kernel::v");
+    ASSERT_NE(v, nullptr);
+    EXPECT_TRUE(v->saw_int);
+    EXPECT_TRUE(v->saw_float);
+    EXPECT_EQ(v->max_int, 12);
+    EXPECT_EQ(v->max_abs_float, 2.0);
+}
+
+TEST(ProfileSinks, WarmVmStartsEachRunWithFreshSinks)
+{
+    // One Interpreter (so one warm VM per thread) observing into new
+    // sinks per run: a range or record cached by the first run must
+    // never receive the second run's stores.
+    auto tu = parse(R"(
+        int kernel(int n) {
+            int acc = 0;
+            for (int i = 0; i < n; i++) { acc += i; }
+            return acc;
+        }
+    )");
+    cir::analyzeOrDie(*tu);
+    Interpreter interp(*tu);
+    Observation big = observe(interp, "kernel", {KernelArg::ofInt(9)},
+                              EngineKind::Bytecode, 2'000'000);
+    Observation small = observe(interp, "kernel", {KernelArg::ofInt(2)},
+                                EngineKind::Bytecode, 2'000'000);
+    Observation walk = observe(interp, "kernel", {KernelArg::ofInt(2)},
+                               EngineKind::TreeWalk, 2'000'000);
+    EXPECT_TRUE(small.profile == walk.profile);
+    EXPECT_TRUE(small.loops == walk.loops);
+    EXPECT_FALSE(big.profile == small.profile);
+    ASSERT_NE(small.profile.find("kernel::acc"), nullptr);
+    EXPECT_EQ(small.profile.find("kernel::acc")->max_int, 1);
+}
+
 // --- engine selection plumbing -------------------------------------------
 
 TEST(InterpDiff, BytecodeIsTheDefaultAndNamesAreCanonical)

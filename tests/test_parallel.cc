@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <map>
 #include <numeric>
+#include <regex>
 #include <thread>
 
 #include "cir/parser.h"
@@ -1014,6 +1015,134 @@ TEST(ParallelTrace, DiffTestTraceJsonIdenticalAcrossThreadCounts)
                          std::to_string(threads));
             EXPECT_EQ(ctx.traceJson(), serial_json);
         }
+    }
+}
+
+// --- original runs kept across a search's campaigns ----------------------
+
+/**
+ * The trace without interp.bytecode.compiles: the one counter a kept
+ * original run does not repeat (the original compiles once per cache).
+ */
+std::string
+withoutCompiles(const std::string &json)
+{
+    static const std::regex counter(
+        R"("interp\.bytecode\.compiles":[0-9]+,?)");
+    return std::regex_replace(std::regex_replace(json, counter, ""),
+                              std::regex(",\\}"), "}");
+}
+
+int64_t
+compiles(const RunContext &ctx)
+{
+    return ctx.trace().root().counter("interp.bytecode.compiles");
+}
+
+TEST(DiffTestReuse, CampaignSequenceMatchesFreshCampaigns)
+{
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    for (const HostedProgram &hp : kHostedPrograms) {
+        if (hp.path == RunPath::Switches)
+            continue; // the light and the heavy kernel
+        SCOPED_TRACE(hp.name);
+        auto orig = program(hp.source);
+        std::string divergent = hp.source;
+        const std::string from = "acc += a[i] * 2;";
+        divergent.replace(divergent.find(from), from.size(),
+                          "acc += a[i] > 100 ? a[i] * 2 + 1 : a[i] * 2;");
+        auto cand = program(divergent);
+        fuzz::TestSuite suite = pathSuites(*orig).front();
+        ASSERT_GE(suite.size(), 4u);
+        // A revisit, a smaller sample that leaves runs unkept, and the
+        // whole suite again: every campaign must read as a fresh one.
+        struct Step
+        {
+            const cir::TranslationUnit *candidate;
+            int max_tests;
+        };
+        const Step steps[] = {{cand.get(), 3},
+                              {orig.get(), 0},
+                              {cand.get(), 0},
+                              {cand.get(), 2}};
+        for (int threads : kThreadCounts) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            WorkerPool pool(threads);
+            repair::OriginalRuns kept(*orig, "kernel", suite);
+            for (size_t k = 0; k < std::size(steps); ++k) {
+                SCOPED_TRACE("campaign " + std::to_string(k));
+                repair::DiffTestOptions opts;
+                opts.pool = &pool;
+                opts.max_tests = steps[k].max_tests;
+                RunContext fresh_ctx;
+                auto fresh =
+                    repair::diffTest(fresh_ctx, *orig, "kernel",
+                                     *steps[k].candidate, config, suite,
+                                     opts);
+                RunContext ctx;
+                auto reused = repair::diffTest(ctx, kept,
+                                               *steps[k].candidate, config,
+                                               opts);
+                expectSameDiffTest(fresh, reused);
+                EXPECT_EQ(withoutCompiles(ctx.traceJson()),
+                          withoutCompiles(fresh_ctx.traceJson()));
+            }
+            EXPECT_EQ(kept.cached(), suite.size());
+        }
+    }
+}
+
+TEST(DiffTestReuse, ToolFailureCampaignLeavesTheCacheEmpty)
+{
+    auto orig = program(kOriginal);
+    auto cand = program(kDivergent);
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    fuzz::TestSuite suite = suiteForSeed(*orig, 1);
+    repair::OriginalRuns kept(*orig, "kernel", suite);
+
+    RunContext failing;
+    FaultPlan plan;
+    plan.rules.push_back(
+        FaultRule{"difftest.cosim", 1.0, FaultKind::Transient, -1});
+    failing.installFaults(plan, RetryPolicy::none());
+    auto failed = repair::diffTest(failing, kept, *cand, config,
+                                   repair::DiffTestOptions{});
+    EXPECT_TRUE(failed.tool_failure);
+    EXPECT_EQ(kept.cached(), 0u);
+    EXPECT_EQ(failing.trace().root().counter("interp.runs"), 0);
+
+    RunContext ctx;
+    auto ok = repair::diffTest(ctx, kept, *cand, config,
+                               repair::DiffTestOptions{});
+    EXPECT_FALSE(ok.tool_failure);
+    EXPECT_EQ(kept.cached(), suite.size());
+}
+
+TEST(DiffTestReuse, OneCandidateCompilePerCampaign)
+{
+    auto orig = program(kOriginal);
+    auto cand = program(kDivergent);
+    hls::HlsConfig config = hls::HlsConfig::forTop("kernel");
+    fuzz::TestSuite suite = suiteForSeed(*orig, 2);
+    ASSERT_GE(suite.size(), 8u);
+
+    // A campaign on its own: the original and the candidate, once each
+    // however many tests run.
+    RunContext fresh;
+    repair::diffTest(fresh, *orig, "kernel", *cand, config, suite,
+                     repair::DiffTestOptions{});
+    EXPECT_EQ(compiles(fresh), 2);
+
+    // A search's campaigns: the original once, the candidate once per
+    // campaign.
+    repair::OriginalRuns kept(*orig, "kernel", suite);
+    for (int k = 0; k < 3; ++k) {
+        RunContext ctx;
+        repair::diffTest(ctx, kept, *cand, config,
+                         repair::DiffTestOptions{});
+        EXPECT_EQ(compiles(ctx), k == 0 ? 2 : 1) << "campaign " << k;
+        EXPECT_EQ(ctx.trace().root().counter("interp.runs"),
+                  2 * int64_t(suite.size()));
     }
 }
 

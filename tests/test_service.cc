@@ -242,7 +242,7 @@ TEST(Service, RunsOneJobToCompletion)
     const JobOutcome &out = svc.collect(id);
     ASSERT_TRUE(out.has_report);
     EXPECT_TRUE(out.report.ok());
-    EXPECT_FALSE(out.trace_json.empty());
+    EXPECT_FALSE(out.traceJson().empty());
 
     SchedulerStats stats = svc.stats();
     EXPECT_EQ(stats.jobs_submitted, 1);
@@ -525,7 +525,7 @@ TEST(Service, MidPipelineCancelStopsPromptlyWithoutLeaks)
     const JobOutcome &out = svc.collect(id);
     ASSERT_TRUE(out.has_report);
     EXPECT_TRUE(out.report.degradations.empty());
-    EXPECT_FALSE(out.trace_json.empty());
+    EXPECT_FALSE(out.traceJson().empty());
 
     // No slot leaked: the follow-up job ran and completed.
     JobStatus follow = svc.poll(next);

@@ -116,7 +116,7 @@ replay(const ServiceOptions &options, size_t drain_after = SIZE_MAX)
     for (int id : ids) {
         const JobOutcome &out = svc.collect(id);
         rec.statuses.push_back(out.status);
-        rec.traces.push_back(out.trace_json);
+        rec.traces.push_back(out.traceJson());
         rec.sources.push_back(out.has_report ? out.report.hls_source
                                              : "");
         rec.total_minutes.push_back(
@@ -210,7 +210,7 @@ TEST(ServiceDeterminism, ReportsAreSlotCountInvariant)
         svc.drain();
         std::vector<std::string> traces;
         for (int id : ids)
-            traces.push_back(svc.collect(id).trace_json);
+            traces.push_back(svc.collect(id).traceJson());
         return traces;
     };
     std::vector<std::string> one = run(1);
